@@ -20,8 +20,8 @@ from .errors import (
     SolverError,
 )
 from . import reports
-from .potentials import catalog_radial
-from .resolvent import BoxDiscretization, make_catalog_field, sweep_h
+from .potentials import catalog_potential, catalog_radial
+from .resolvent import BoxDiscretization, sweep_h
 from .verify import (
     gluing_constants,
     shift_radius_bound,
@@ -114,7 +114,7 @@ resolvent:
   hs: descending floats         sweep values of h
   eps: {rule: constant | h_over, value}   constant eps, or eps = h/value
   s: float                      weight exponent of the sweep
-  modes: ["interior", "exterior"]
+  modes: ["interior", "exterior"]  nonempty, no mode repeated
   R: "auto" | float             exterior cutoff; auto = rho + 3 sigma for the
                                 ring potential, 1.0 otherwise
   tol, max_iter                 power-iteration controls
@@ -188,9 +188,14 @@ def _validate_config(cfg: dict):
         raise ConfigError(f"unknown eps rule '{eps['rule']}'")
     if not (float(eps["value"]) > 0.0):
         raise ConfigError("eps value must be positive")
-    for mode in cfg["resolvent"]["modes"]:
+    modes = cfg["resolvent"]["modes"]
+    if not isinstance(modes, list):
+        raise ConfigError("resolvent.modes must be a list")
+    for mode in modes:
         if mode not in ("interior", "exterior"):
             raise ConfigError(f"unknown sweep mode '{mode}'")
+    if not modes or len(set(modes)) != len(modes):
+        raise ConfigError(f"resolvent.modes must be nonempty without repeats, got {modes}")
     pot = cfg["resolvent"]["potential"]
     if pot["id"] not in ("zero", "radial_decay", "trapping_ring"):
         raise ConfigError(f"unknown potential id '{pot['id']}'")
@@ -369,8 +374,8 @@ def cmd_sweep(cfg, out: Path, assert_fits: bool = False) -> int:
     pot = dict(rcfg["potential"])
     pot_id = pot.pop("id")
     c = float(pot.pop("c", 1.0))
-    V = make_catalog_field(pot_id, p.delta0, disc, c=c, E=p.E,
-                           **{k: float(v) for k, v in pot.items()})
+    V = catalog_potential(pot_id, p.delta0, disc, c=c, E=p.E,
+                          **{k: float(v) for k, v in pot.items()})
     eps_cfg = rcfg["eps"]
     if eps_cfg["rule"] == "constant":
         eps_rule = float(eps_cfg["value"])
@@ -380,15 +385,13 @@ def cmd_sweep(cfg, out: Path, assert_fits: bool = False) -> int:
     if R == "auto":
         R = float(pot.get("rho", 0.0)) + 3.0 * float(pot.get("sigma", 0.0)) \
             if pot_id == "trapping_ring" else 1.0
-    results = {}
-    for mode in rcfg["modes"]:
-        results[mode] = sweep_h(
-            V, p.E, float(rcfg["s"]), [float(h) for h in rcfg["hs"]],
-            eps_rule=eps_rule, mode=mode, disc=disc,
-            R=float(R) if mode == "exterior" else None,
-            tol=float(rcfg["tol"]), max_iter=int(rcfg["max_iter"]),
-            seed=int(cfg["seed"]),
-        )
+    results = sweep_h(
+        V, p.E, float(rcfg["s"]), [float(h) for h in rcfg["hs"]],
+        eps_rule=eps_rule, modes=rcfg["modes"], disc=disc,
+        R=float(R) if "exterior" in rcfg["modes"] else None,
+        tol=float(rcfg["tol"]), max_iter=int(rcfg["max_iter"]),
+        seed=int(cfg["seed"]),
+    )
     out.mkdir(parents=True, exist_ok=True)
     checks = []
     for mode, result in results.items():
@@ -438,8 +441,14 @@ def cmd_report(cfg, out: Path) -> int:
 # entry point
 # ----------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse exits 2, the contract's construction code
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="carlab",
         description="Carleman weight workbench: construction, verification, resolvent sweeps.",
     )
@@ -454,10 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=doc)
         sp.add_argument("--config", type=str, default=None, help="JSON config path")
         sp.add_argument("--out", type=str, default=None, help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument("--tolerance", type=float, default=None,
-                        help="override verification tolerance")
+        if name == "verify":
+            sp.add_argument("--tolerance", type=float, default=None,
+                            help="override verification tolerance")
         if name == "sweep":
+            sp.add_argument("--seed", type=int, default=None, help="override config seed")
             sp.add_argument("--assert-fits", action="store_true",
                             help="turn fit targets into exit-code checks")
     return ap
@@ -474,7 +484,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         overrides = {}
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             overrides["seed"] = args.seed
         cfg = load_config(args.config, overrides)
         out = Path(args.out) if args.out else Path(cfg["output"]["dir"])

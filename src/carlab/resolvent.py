@@ -1,8 +1,9 @@
 """Discretized operator, shifted solves, weighted norms, and h-sweeps.
 
 P = -h^2 Lap + V - E on a truncated box with homogeneous Dirichlet walls,
-5-point stencil.  The -i*eps shift is applied at solve time; factorizations
-are cached per (operator, eps) and reused across right-hand sides.
+5-point stencil.  The -i*eps shift is applied at solve time; one LU of
+P - i*eps is cached per (operator, eps) and serves every right-hand side,
+every sweep mode and the adjoint.
 """
 
 import math
@@ -18,9 +19,10 @@ from .errors import (
     SolverError,
     SweepAbortedError,
 )
-from .potentials import PotentialSample, catalog_potential
+from .potentials import PotentialSample
 
 SOLVE_RESIDUAL_TOL = 1e-10
+NORM_BLOCK = 8  # vectors per block power iteration
 
 
 @dataclass(frozen=True)
@@ -77,12 +79,10 @@ class DiscreteOperator:
         return (self.matrix - 1j * eps * sp.identity(self.matrix.shape[0], format="csc")).tocsc()
 
     def factor(self, eps: float):
-        """LU factors of P - i*eps and P + i*eps, cached."""
+        """LU factorization of P - i*eps, cached per eps."""
         key = float(eps)
         if key not in self._factor_cache:
-            minus = spla.splu(self.shifted(eps))
-            plus = spla.splu(self.shifted(-eps))
-            self._factor_cache[key] = (minus, plus)
+            self._factor_cache[key] = spla.splu(self.shifted(eps))
         return self._factor_cache[key]
 
 
@@ -142,7 +142,7 @@ def solve_shifted(op: DiscreteOperator, eps: float, rhs: np.ndarray) -> np.ndarr
     if nrm == 0.0:
         return np.zeros_like(rhs)
     try:
-        lu, _ = op.factor(eps)
+        lu = op.factor(eps)
     except RuntimeError as exc:  # pragma: no cover - eps > 0 keeps this invertible
         raise SolverError(f"factorization failed: {exc}") from exc
     z = lu.solve(rhs)
@@ -166,10 +166,6 @@ class WeightDiag:
     values: np.ndarray
     s: float
     R: float | None = None
-
-    @property
-    def mode(self) -> str:
-        return "interior" if self.R is None else "exterior"
 
 
 def weight_diag(disc: BoxDiscretization, s: float, R: float | None = None) -> WeightDiag:
@@ -196,18 +192,16 @@ def weighted_resolvent_norm(
     tol: float = 1e-8,
     max_iter: int = 2000,
     seed: int = 0,
-    swap_adjoint: bool = False,
-    block: int = 8,
 ) -> NormEstimate:
     """Largest singular value of A = W_L (P - i eps)^-1 W_R by power
     iteration on A*A.
 
-    Applying A is scale / solve with P - i eps / scale; applying A* is the
-    same with the shift sign flipped (P is real symmetric, so the adjoint
-    solve is a sign flip).  The iteration runs on a block of `block` vectors
-    with Rayleigh-Ritz extraction, so clustered top singular values (the
-    box has symmetry-degenerate modes) converge at the gap to sigma_{b+1};
-    block=1 is classical power iteration.  Convergence is certified by the
+    Applying A is scale / solve / scale with the cached LU of P - i eps.
+    A* reuses it: P is real symmetric, so (P - i eps)^* = conj(P - i eps)
+    and the adjoint solve is conj(lu.solve(conj(y))).  The iteration runs
+    on a block of NORM_BLOCK vectors with Rayleigh-Ritz extraction, so
+    clustered top singular values (the box has symmetry-degenerate modes)
+    converge at the gap to sigma_{b+1}.  Convergence is certified by the
     Hermitian eigenpair residual |A*A z - lam z| <= tol * lam, which bounds
     the eigenvalue error and cannot trigger early on slow convergence.
     """
@@ -215,25 +209,21 @@ def weighted_resolvent_norm(
         raise SolverError(f"eps nonpositive: {eps}")
     if not (tol > 0.0):
         raise SolverError(f"tol must be positive, got {tol}")
-    lu_minus, lu_plus = op.factor(eps)
+    lu = op.factor(eps)
     wl = w_left.values
     wr = w_right.values
     if not np.any(wl) or not np.any(wr):
         return NormEstimate(value=0.0, iterations=0, residual=0.0, converged=True)
 
     def apply_a(x):
-        return wl[:, None] * lu_minus.solve(wr[:, None] * x)
+        return wl[:, None] * lu.solve(wr[:, None] * x)
 
     def apply_a_star(y):
-        return wr[:, None] * lu_plus.solve(wl[:, None] * y)
-
-    if swap_adjoint:
-        apply_a, apply_a_star = apply_a_star, apply_a
+        return wr[:, None] * np.conj(lu.solve(np.conj(wl[:, None] * y)))
 
     n = op.disc.size
-    b = max(1, min(block, n))
     rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((n, b)) + 1j * rng.standard_normal((n, b))
+    Z = rng.standard_normal((n, NORM_BLOCK)) + 1j * rng.standard_normal((n, NORM_BLOCK))
     Z, _ = np.linalg.qr(Z)
     est, rel = 0.0, np.inf
     for it in range(1, max_iter + 1):
@@ -327,28 +317,29 @@ def sweep_h(
     s: float,
     hs,
     eps_rule=1e-6,
-    mode: str = "interior",
+    modes=("interior",),
     disc: BoxDiscretization | None = None,
     R: float | None = None,
     tol: float = 1e-8,
     max_iter: int = 2000,
     seed: int = 0,
-) -> SweepResult:
-    """One weighted-norm row per h (descending), plus refittable summaries.
+) -> dict:
+    """One weighted-norm row per h (descending) and mode, as {mode: SweepResult}.
 
-    eps_rule is a constant or a callable h -> eps.  The box is validated
-    once against the largest h (spacing a <= max(hs)/4); later rows reuse
-    the grid, where the points-per-wavelength count only grows milder than
-    the a <= h/4 rule.
+    eps_rule is a constant or a callable h -> eps.  Each h assembles one
+    operator, and its one factorization serves every mode.  The box is
+    validated once against the largest h (spacing a <= max(hs)/4); later
+    rows reuse the grid, where the points-per-wavelength count only grows
+    milder than the a <= h/4 rule.
     """
     hs = [float(h) for h in hs]
     if not hs:
         raise ValueError("no sweep points")
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("hs must be strictly descending")
-    if mode not in ("interior", "exterior"):
-        raise ValueError(f"unknown mode '{mode}'")
-    if mode == "exterior" and R is None:
+    if not modes or len(set(modes)) != len(modes) or not set(modes) <= {"interior", "exterior"}:
+        raise ValueError(f"modes must be nonempty, distinct, interior or exterior; got {modes}")
+    if "exterior" in modes and R is None:
         raise ValueError("exterior mode needs a cutoff radius R")
     if disc is None:
         raise ValueError("disc is required")
@@ -357,7 +348,7 @@ def sweep_h(
             f"resolution too coarse: spacing a = {disc.a:.4g} exceeds "
             f"max(h)/4 = {max(hs) / 4:.4g}"
         )
-    w = weight_diag(disc, s, R if mode == "exterior" else None)
+    weights = {mode: weight_diag(disc, s, R if mode == "exterior" else None) for mode in modes}
     rows = []
     for h in hs:
         try:
@@ -365,20 +356,16 @@ def sweep_h(
             if not (eps > 0.0):
                 raise SolverError(f"eps rule produced nonpositive eps = {eps} at h = {h}")
             op = assemble(V, E, h, disc, check_resolution=False)
-            est = weighted_resolvent_norm(
-                op, eps, w, w, tol=tol, max_iter=max_iter, seed=seed
-            )
+            for mode, w in weights.items():
+                est = weighted_resolvent_norm(
+                    op, eps, w, w, tol=tol, max_iter=max_iter, seed=seed
+                )
+                rows.append(SweepRow(
+                    h=h, eps=eps, mode=mode, s=s, R=w.R,
+                    norm=est.value, iterations=est.iterations, residual=est.residual,
+                ))
         except SolverError as exc:
             raise SweepAbortedError(
                 f"sweep row h = {h} failed: {exc}", partial_rows=rows, failed_h=h
             ) from exc
-        rows.append(SweepRow(
-            h=h, eps=eps, mode=mode, s=s, R=R if mode == "exterior" else None,
-            norm=est.value, iterations=est.iterations, residual=est.residual,
-        ))
-    return SweepResult(rows=tuple(rows))
-
-
-def make_catalog_field(name, delta0, disc, c=1.0, E=None, **params) -> PotentialSample:
-    """Convenience wrapper for sweep configuration."""
-    return catalog_potential(name, delta0, disc, c=c, E=E, **params)
+    return {mode: SweepResult(rows=tuple(r for r in rows if r.mode == mode)) for mode in modes}

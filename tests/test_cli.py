@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from carlab.cli import main
 
 CERTIFIED = {
@@ -115,6 +117,29 @@ def test_config_errors_exit_one_and_leave_nothing(tmp_path):
     cfg3 = write_cfg(tmp_path, {"resolvent": {"hs": [0.2, 0.3]}}, "asc.json")
     assert run(["sweep", "--config", cfg3, "--out", out]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("modes", [[], ["interior", "interior"], 3])
+def test_bad_modes_exit_one(tmp_path, modes):
+    payload = json.loads(json.dumps(BASELINE_SWEEP))
+    payload["resolvent"]["modes"] = modes
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", cfg, "--out", out, "--assert-fits"]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--bogus"],
+    ["frob"],
+    ["weights", "--tolerance", "1"],
+    ["verify", "--seed", "1"],
+])
+def test_usage_errors_exit_one(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_invalid_params_exit_two_and_leave_nothing(tmp_path):

@@ -70,7 +70,8 @@ def test_margin_report_serialization(tmp_path, baseline_tables):
 def test_sweep_csv_and_plot_data(tmp_path):
     disc = BoxDiscretization(L=1.5, n=48)
     V = catalog_potential("zero", 0.4, disc)
-    result = sweep_h(V, 1.0, 0.6, [0.4, 0.3], eps_rule=1e-2, disc=disc)
+    result = sweep_h(V, 1.0, 0.6, [0.4, 0.3], eps_rule=1e-2, modes=["interior"],
+                     disc=disc)["interior"]
     csv_path = tmp_path / "sweep.csv"
     write_sweep_csv(csv_path, result)
     lines = csv_path.read_text().splitlines()
