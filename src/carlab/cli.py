@@ -85,7 +85,7 @@ Configuration file (JSON). Unknown keys are rejected; omitted keys take the
 defaults shown. Every run with the same config and seed writes byte-identical
 artifacts.
 
-seed: int                       rng seed for iteration start vectors
+seed: int                       rng seed for Lanczos start vectors
 problem:
   E: float > 0                  energy level
   delta0: float in (0, 1/2)     long-range decay exponent
@@ -117,7 +117,8 @@ resolvent:
   modes: ["interior", "exterior"]  nonempty, no mode repeated
   R: "auto" | float             exterior cutoff; auto = rho + 3 sigma for the
                                 ring potential, 1.0 otherwise
-  tol, max_iter                 power-iteration controls
+  tol: float                    Lanczos eigenpair residual certificate
+  max_iter: int                 cap on A*A applications per norm
 output:
   dir: str                      artifact directory
 """
@@ -196,6 +197,9 @@ def _validate_config(cfg: dict):
             raise ConfigError(f"unknown sweep mode '{mode}'")
     if not modes or len(set(modes)) != len(modes):
         raise ConfigError(f"resolvent.modes must be nonempty without repeats, got {modes}")
+    R = cfg["resolvent"]["R"]
+    if R != "auto" and (isinstance(R, bool) or not isinstance(R, (int, float)) or not R > 0.0):
+        raise ConfigError(f"resolvent.R must be \"auto\" or a positive number, got {R!r}")
     pot = cfg["resolvent"]["potential"]
     if pot["id"] not in ("zero", "radial_decay", "trapping_ring"):
         raise ConfigError(f"unknown potential id '{pot['id']}'")

@@ -26,7 +26,7 @@ class SolverError(CarlabError):
 
 
 class PowerIterationError(SolverError):
-    """Power iteration hit max_iter; carries the last estimate."""
+    """Lanczos norm hit max_iter or missed its certificate; carries the last estimate."""
 
     def __init__(self, message, estimate=None, iterations=None):
         super().__init__(message)

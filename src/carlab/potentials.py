@@ -79,21 +79,20 @@ def _radial_formulas(name, r, delta0, c, params):
 def catalog_radial(name, delta0, r, c=1.0, E=None, **params) -> PotentialSample:
     """Catalog potential sampled on a radial grid with exact derivatives."""
     V, dV = _radial_formulas(name, r, delta0, c, params)
+    _require_barrier_above_energy(name, E, params)
     if name == "trapping_ring":
-        if E is not None and not (params["A"] > E):
-            raise ConstructionError(
-                f"trapping ring needs barrier height A > E, got A = {params['A']}, E = {E}"
-            )
         # a Gaussian decays faster than any polynomial: report the tightest c
         c = _fitted_c(r, V, np.abs(dV), delta0)
-    sample = make_sample("radial", np.asarray(r, float), V, dV, np.abs(dV), delta0, c, name)
-    if not sample.envelope_ok:
-        i = _worst_node(sample)
+    return _within_envelope(
+        make_sample("radial", np.asarray(r, float), V, dV, np.abs(dV), delta0, c, name)
+    )
+
+
+def _require_barrier_above_energy(name, E, params):
+    if name == "trapping_ring" and E is not None and not (params["A"] > E):
         raise ConstructionError(
-            f"envelope violated for '{name}': ratio {sample.worst_ratio:.4g} "
-            f"at r = {sample.r[i]:.6g}"
+            f"trapping ring needs barrier height A > E, got A = {params['A']}, E = {E}"
         )
-    return sample
 
 
 def _fitted_c(r, V, grad_norm, delta0):
@@ -102,12 +101,18 @@ def _fitted_c(r, V, grad_norm, delta0):
     return max(c, np.finfo(float).tiny)
 
 
-def _worst_node(sample: PotentialSample) -> int:
-    ratio_v, ratio_g = _envelope_ratios(
-        sample.r, sample.values, sample.grad_norm, sample.delta0, sample.c
-    )
-    both = np.maximum(ratio_v, ratio_g)
-    return int(np.argmax(both))
+def _within_envelope(sample: PotentialSample) -> PotentialSample:
+    """The sample itself, or a ConstructionError naming its worst node."""
+    if not sample.envelope_ok:
+        ratio_v, ratio_g = _envelope_ratios(
+            sample.r, sample.values, sample.grad_norm, sample.delta0, sample.c
+        )
+        i = int(np.argmax(np.maximum(ratio_v, ratio_g)))
+        raise ConstructionError(
+            f"envelope violated for '{sample.name}': ratio {sample.worst_ratio:.4g} "
+            f"at r = {sample.r[i]:.6g}"
+        )
+    return sample
 
 
 def catalog_potential(name, delta0, disc, c=1.0, E=None, **params) -> PotentialSample:
@@ -121,10 +126,7 @@ def catalog_potential(name, delta0, disc, c=1.0, E=None, **params) -> PotentialS
     X, Y = disc.mesh()
     r2d = np.hypot(X, Y)
     V2d, _ = _radial_formulas(name, r2d, delta0, c, params)
-    if name == "trapping_ring" and E is not None and not (params["A"] > E):
-        raise ConstructionError(
-            f"trapping ring needs barrier height A > E, got A = {params['A']}, E = {E}"
-        )
+    _require_barrier_above_energy(name, E, params)
     gx, gy = np.gradient(V2d, disc.a, disc.a, edge_order=2)
     with np.errstate(invalid="ignore", divide="ignore"):
         cos_t = np.where(r2d > 0, X / r2d, 0.0)
@@ -137,11 +139,4 @@ def catalog_potential(name, delta0, disc, c=1.0, E=None, **params) -> PotentialS
     gn = grad_norm.ravel()
     if name == "trapping_ring":
         c = _fitted_c(r, V, gn, delta0)
-    sample = make_sample("field2d", r, V, dVf, gn, delta0, c, name)
-    if not sample.envelope_ok:
-        i = _worst_node(sample)
-        raise ConstructionError(
-            f"envelope violated for '{name}': ratio {sample.worst_ratio:.4g} "
-            f"at r = {sample.r[i]:.6g}"
-        )
-    return sample
+    return _within_envelope(make_sample("field2d", r, V, dVf, gn, delta0, c, name))

@@ -129,6 +129,16 @@ def test_bad_modes_exit_one(tmp_path, modes):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("R", ["foo", -1])
+def test_bad_exterior_radius_exits_one(tmp_path, R):
+    payload = json.loads(json.dumps(BASELINE_SWEEP))
+    payload["resolvent"].update(R=R, modes=["interior", "exterior"])
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", cfg, "--out", out]) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--bogus"],
     ["frob"],

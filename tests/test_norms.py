@@ -11,6 +11,7 @@ from carlab import (
     weight_diag,
     weighted_resolvent_norm,
 )
+from carlab.resolvent import LU_OPTIONS
 
 
 def _operator(disc, name, h, E=1.0, **params):
@@ -40,10 +41,24 @@ def test_matches_dense_svd_over_random_draws(small_box, rng):
         cases.append((str(name), h, eps, params))
     for name, h, eps, params in cases:
         op = _operator(small_box, name, h, **params)
-        est = weighted_resolvent_norm(op, eps, w, w, tol=1e-9, seed=11)
+        est = weighted_resolvent_norm(op, eps, w, w, tol=1e-9, max_iter=100, seed=11)
         oracle = dense_resolvent_norm(op, eps, w, w)
         assert abs(est.value - oracle) / oracle <= 1e-6
         assert est.value <= (1.0 + 1e-9) / eps
+        # iterations counts A*A applications, the certifying one included
+        assert est.converged and 1 <= est.iterations <= 100
+
+
+def test_degenerate_top_pair_matches_dense_svd(small_box):
+    # the square box's symmetry makes the top singular value of the
+    # unweighted resolvent exactly double; Lanczos must still find it
+    op = _operator(small_box, "zero", 0.3)
+    w = weight_diag(small_box, 0.0)
+    for eps in (1e-2, 1e-6):
+        sv = np.linalg.svd(np.linalg.inv(op.shifted(eps).toarray()), compute_uv=False)
+        assert sv[0] - sv[1] <= 1e-12 * sv[0]
+        est = weighted_resolvent_norm(op, eps, w, w, tol=1e-9, seed=4)
+        assert abs(est.value - sv[0]) / sv[0] <= 1e-6
 
 
 def test_exterior_weight_beyond_box_gives_zero(small_box):
@@ -56,13 +71,16 @@ def test_exterior_weight_beyond_box_gives_zero(small_box):
 
 def test_adjoint_solve_by_conjugation(small_box, rng):
     # P is real symmetric, so the one LU of P - i eps also solves with
-    # (P - i eps)^* = P + i eps by conjugation, bit for bit: the norm
-    # iteration's A* and the byte-identical sweep artifacts rest on it
+    # (P - i eps)^* = P + i eps by conjugation, bit for bit under the same
+    # LU options: the norm's A* and the byte-identical sweep artifacts rest
+    # on it
     op = _operator(small_box, "radial_decay", 0.25, c=1.0)
     y = rng.standard_normal((small_box.size, 3)) + 1j * rng.standard_normal((small_box.size, 3))
     for eps in (1e-6, 1e-4, 5e-2):
         conj_form = np.conj(op.factor(eps).solve(np.conj(y)))
-        np.testing.assert_array_equal(conj_form, spla.splu(op.shifted(-eps)).solve(y))
+        np.testing.assert_array_equal(
+            conj_form, spla.splu(op.shifted(-eps), **LU_OPTIONS).solve(y)
+        )
 
 
 def test_monotone_in_exterior_radius(small_box):
@@ -83,6 +101,15 @@ def test_max_iter_carries_estimate(small_box):
     assert err.value.estimate is not None
     assert err.value.estimate > 0.0
     assert err.value.iterations == 2
+
+
+def test_zero_max_iter_applies_nothing(small_box):
+    # ARPACK rejects maxiter = 0; the cap must still end in the solver error
+    op = _operator(small_box, "zero", 0.25)
+    w = weight_diag(small_box, 0.6)
+    with pytest.raises(PowerIterationError) as err:
+        weighted_resolvent_norm(op, 1e-4, w, w, max_iter=0)
+    assert err.value.iterations == 0
 
 
 @pytest.mark.parametrize("name,params", [
@@ -108,9 +135,10 @@ def test_grid_convergence_at_largest_h():
     # discretization, not the drift of individual box resonances.
     h, eps = 0.4, 0.2
     vals = []
-    for n in (64, 128):
+    for n in (64, 128, 256):
         disc = BoxDiscretization(L=2.5, n=n)
         op = _operator(disc, "zero", h)
         w = weight_diag(disc, 0.6)
         vals.append(weighted_resolvent_norm(op, eps, w, w, tol=1e-9, seed=1).value)
-    assert abs(vals[1] - vals[0]) / vals[0] <= 0.05
+    for coarse, fine in zip(vals, vals[1:]):
+        assert abs(fine - coarse) / coarse <= 0.05

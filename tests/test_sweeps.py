@@ -30,7 +30,6 @@ def test_rows_follow_descending_hs(sweep_box, zero_field):
     result = _interior(zero_field, 1.0, 0.6, hs, eps_rule=1e-2, disc=sweep_box)
     assert [r.h for r in result.rows] == hs
     assert all(r.mode == "interior" and r.R is None for r in result.rows)
-    assert not result.partial
 
 
 def test_ascending_hs_rejected(sweep_box, zero_field):
