@@ -35,6 +35,7 @@ from .weights import (
     PsiSearch,
     PsiSpec,
     build_weight_tables,
+    compute_g_and_h1,
     default_r1,
     find_psi_constants,
     margin_scan_nodes,
@@ -237,8 +238,6 @@ def _tables(cfg, spec: PsiSpec):
         r_min=g["r_min"], r_max=g["r_max"],
         n_inner=int(g["n_inner"]), n_mid=int(g["n_mid"]), n_outer=int(g["n_outer"]),
     )
-    from .weights import compute_g_and_h1
-
     h = wcfg["h"]
     if h == "auto":
         h = compute_g_and_h1(spec, spec.E, extra_nodes=grid.nodes).h1 / 2.0

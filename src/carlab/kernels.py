@@ -1,32 +1,61 @@
 """Hot numeric kernels.
 
-The backward Riccati integration is a scalar recurrence over the radial grid
-and cannot be vectorized, so it is the one kernel compiled with numba. A pure
-Python twin of the same source is kept for environments without numba and for
-benchmarking; set CARLAB_DISABLE_NUMBA=1 to force the fallback path.
+The backward Riccati integration is a scalar RK4 recurrence over the radial
+grid. Only the recurrence itself stays sequential: the RK4 abscissae of every
+span and the profile psi at all of them are computed in numpy first, and a
+lean Python loop then steps u through the precomputed values.
 """
 
-import math
-import os
+from itertools import islice
 
 import numpy as np
 
-# profile selectors for the inline psi evaluation (see the kernel docstring)
+# profile selectors for the psi evaluation (see the kernel docstring)
 PSI_PIECEWISE = 0
 PSI_CONSTANT = 1
 PSI_ZERO = 2
 
 
-def numba_disabled() -> bool:
-    return os.environ.get("CARLAB_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes"}
+def _psi(x, kind, a0, a1, a2, a3, a4, a5):
+    out = np.zeros_like(x)
+    if kind == PSI_PIECEWISE:
+        out[x <= a1] = a4
+        mid = (x > a1) & (x < a2)
+        out[mid] = a0 / (1.0 - (1.0 + x[mid]) ** (-a3)) - a5
+    elif kind == PSI_CONSTANT:
+        out[x <= a1] = a0
+    return out
 
 
-def _riccati_backward_impl(r, h, substep, kind, a0, a1, a2, a3, a4, a5):
+def _abscissae(start, dt, m):
+    """Substep ends and midpoints of every span, in integration order.
+
+    Span j takes m[j] steps of dt[j] from start[j]. Its ends are accumulated
+    one step at a time, as rr = rr + dt in a scalar loop, and its midpoints
+    are rr + 0.5 dt. Spans are batched by the binary order of m, so each
+    batch is one 2D accumulate padded at most 2x.
+    """
+    first = np.cumsum(m + 1) - (m + 1)
+    ends = np.empty(m.size + m.sum())
+    order = np.frexp(m)[1]
+    for e in np.unique(order):
+        sel = np.flatnonzero(order == e)
+        cols = np.arange(m[sel].max() + 1)
+        block = np.repeat(dt[sel, None], cols.size, axis=1)
+        block[:, 0] = start[sel]
+        keep = cols <= m[sel, None]
+        ends[(first[sel, None] + cols)[keep]] = np.add.accumulate(block, axis=1)[keep]
+    mids = np.delete(ends, first + m) + np.repeat(0.5 * dt, m)
+    return ends, mids
+
+
+def riccati_backward(r, h, substep, kind, a0, a1, a2, a3, a4, a5):
     """Integrate u' = (u^2 - psi(r))/h backward from u(r[-1]) = 0.
 
-    r must be strictly increasing; substep bounds the internal RK4 step.
-    The profile psi is evaluated inline from its parameters so substep
-    abscissae see exact values, never interpolants:
+    r must be strictly increasing; substep bounds the internal RK4 step, so
+    the span r[i-1]..r[i] takes max(1, ceil(span/substep)) equal steps.
+    The profile psi is evaluated from its parameters so substep abscissae
+    see exact values, never interpolants:
 
       kind 0 (piecewise): a0=B, a1=R0, a2=R1, a3=delta, a4=plateau, a5=E/4
                           psi = plateau on [0,R0], B/(1-(1+r)^-delta) - E/4
@@ -36,59 +65,30 @@ def _riccati_backward_impl(r, h, substep, kind, a0, a1, a2, a3, a4, a5):
 
     Returns u sampled at the nodes of r.
     """
-    n = r.shape[0]
-    u = np.zeros(n)
+    r = np.asarray(r, dtype=float)
+    start = r[:0:-1]  # spans in integration order: r[n-1] down to r[n-2], ...
+    span = start - r[-2::-1]
+    m = np.maximum(np.ceil(span / substep), 1.0).astype(np.intp)
+    dt = -span / m
+    p_end, p_mid = (_psi(x, kind, a0, a1, a2, a3, a4, a5).tolist()
+                    for x in _abscissae(start, dt, m))
+    out = []
     uu = 0.0
-    for i in range(n - 1, 0, -1):
-        ra = r[i]
-        rb = r[i - 1]
-        span = ra - rb
-        m = int(math.ceil(span / substep))
-        if m < 1:
-            m = 1
-        dt = -span / m
-        rr = ra
-        for _ in range(m):
-            # inline psi at the three RK4 abscissae
-            rm = rr + 0.5 * dt
-            re = rr + dt
-            if kind == 0:
-                pa = a4 if rr <= a1 else (0.0 if rr >= a2 else a0 / (1.0 - (1.0 + rr) ** (-a3)) - a5)
-                pm = a4 if rm <= a1 else (0.0 if rm >= a2 else a0 / (1.0 - (1.0 + rm) ** (-a3)) - a5)
-                pe = a4 if re <= a1 else (0.0 if re >= a2 else a0 / (1.0 - (1.0 + re) ** (-a3)) - a5)
-            elif kind == 1:
-                pa = a0 if rr <= a1 else 0.0
-                pm = a0 if rm <= a1 else 0.0
-                pe = a0 if re <= a1 else 0.0
-            else:
-                pa = 0.0
-                pm = 0.0
-                pe = 0.0
+    ends_it, mids_it = iter(p_end), iter(p_mid)
+    for mj, d in zip(m.tolist(), dt.tolist()):
+        hd = 0.5 * d
+        pa = next(ends_it)
+        for pm, pe in zip(islice(mids_it, mj), islice(ends_it, mj)):
             k1 = (uu * uu - pa) / h
-            v2 = uu + 0.5 * dt * k1
+            v2 = uu + hd * k1
             k2 = (v2 * v2 - pm) / h
-            v3 = uu + 0.5 * dt * k2
+            v3 = uu + hd * k2
             k3 = (v3 * v3 - pm) / h
-            v4 = uu + dt * k3
+            v4 = uu + d * k3
             k4 = (v4 * v4 - pe) / h
-            uu = uu + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            rr = re
-        u[i - 1] = uu
+            uu = uu + d * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            pa = pe
+        out.append(uu)
+    u = np.zeros(r.size)
+    u[-2::-1] = out
     return u
-
-
-riccati_backward_py = _riccati_backward_impl
-
-if numba_disabled():
-    riccati_backward = _riccati_backward_impl
-else:
-    try:
-        from numba import njit
-
-        riccati_backward = njit(cache=True)(_riccati_backward_impl)
-    except ImportError:  # numba is the optional `jit` extra; run the Python twin
-        riccati_backward = _riccati_backward_impl
-
-
-def using_numba() -> bool:
-    return riccati_backward is not riccati_backward_py

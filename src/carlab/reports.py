@@ -8,6 +8,8 @@ import json
 
 import numpy as np
 
+from .weights import continuity_residuals
+
 FLOAT_FMT = "%.17e"
 
 WEIGHT_COLUMNS = ("r", "psi", "u", "phi", "w", "wprime", "m")
@@ -23,10 +25,10 @@ def write_columnar(path, columns, arrays):
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise ValueError("columnar arrays must share a length")
+    row = " ".join([FLOAT_FMT] * len(arrays)) + "\n"
     with open(path, "w") as f:
         f.write(" ".join(columns) + "\n")
-        for i in range(n):
-            f.write(" ".join(FLOAT_FMT % a[i] for a in arrays) + "\n")
+        f.writelines(row % cells for cells in zip(*(a.tolist() for a in arrays)))
 
 
 def read_columnar(path):
@@ -44,7 +46,7 @@ def write_weight_table(path, wt):
 
 
 def weight_report_dict(wt) -> dict:
-    res0, res1 = _continuity(wt.spec)
+    res0, res1 = continuity_residuals(wt.spec)
     return {
         "B": fnum(wt.spec.B),
         "R0": fnum(wt.spec.R0),
@@ -72,12 +74,6 @@ def weight_report_dict(wt) -> dict:
     }
 
 
-def _continuity(spec):
-    from .weights import continuity_residuals
-
-    return continuity_residuals(spec)
-
-
 def write_report(path, payload: dict):
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -87,10 +83,6 @@ def write_report(path, payload: dict):
 def read_report(path) -> dict:
     with open(path) as f:
         return json.load(f)
-
-
-def write_margin_reports(path, reports):
-    write_report(path, {"reports": [r.to_dict() for r in reports]})
 
 
 SWEEP_HEADER = ("h", "eps", "mode", "s", "R", "norm", "iterations", "residual")

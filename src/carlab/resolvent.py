@@ -185,7 +185,6 @@ class NormEstimate:
     value: float
     iterations: int
     residual: float
-    converged: bool
 
 
 def weighted_resolvent_norm(
@@ -215,7 +214,7 @@ def weighted_resolvent_norm(
     wl2 = w_left.values ** 2
     wr = w_right.values
     if not np.any(wl2) or not np.any(wr):
-        return NormEstimate(value=0.0, iterations=0, residual=0.0, converged=True)
+        return NormEstimate(value=0.0, iterations=0, residual=0.0)
     applied, rayleigh = 0, 0.0
 
     def failed(why):
@@ -244,7 +243,7 @@ def weighted_resolvent_norm(
     rel = float(np.linalg.norm(y - rayleigh * z)) / rayleigh
     if not rel <= tol:
         raise failed(f"eigenpair residual {rel:.2e} above tol {tol:.1e}")
-    return NormEstimate(value=math.sqrt(rayleigh), iterations=applied, residual=rel, converged=True)
+    return NormEstimate(value=math.sqrt(rayleigh), iterations=applied, residual=rel)
 
 
 def dense_resolvent_norm(op, eps, w_left, w_right) -> float:

@@ -471,10 +471,12 @@ def solve_phi_riccati(
         raise ConstructionError(f"h must be positive, got {h}")
     r = grid.nodes
     substep = h / substep_factor
-    # prepend r = 0 so phi(0) = 0 is exact and u(0) comes from the same flow
+    # prepend r = 0 so phi(0) = 0 is exact and u(0) comes from the same flow;
+    # integrate only [0, R1] from u(R1) = 0, the tail is exactly zero
     r_ext = np.concatenate([[0.0], r])
-    u_ext = riccati_backward(
-        r_ext, h, substep, PSI_PIECEWISE,
+    u_ext = np.zeros(r_ext.size)
+    u_ext[: grid.i_r1 + 2] = riccati_backward(
+        r_ext[: grid.i_r1 + 2], h, substep, PSI_PIECEWISE,
         spec.B, spec.R0, spec.R1, spec.delta, spec.plateau, spec.E / 4.0,
     )
     u0 = float(u_ext[0])
@@ -482,7 +484,6 @@ def solve_phi_riccati(
     if u.min() < -1e-12:
         raise ConstructionError(f"nonnegativity violated: min u = {u.min():.3e}")
     u = np.maximum(u, 0.0)
-    u[grid.i_r1:] = 0.0  # exact zero tail: psi = 0 and u(R1) = 0
     phi_ext = np.concatenate([[0.0], np.cumsum(0.5 * (u_ext[1:] + u_ext[:-1]) * np.diff(r_ext))])
     phi = phi_ext[1:]
     resid = riccati_residual(spec, grid, h, u)

@@ -1,69 +1,99 @@
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
+import pytest
 
-from carlab.kernels import (
-    PSI_CONSTANT,
-    PSI_PIECEWISE,
-    riccati_backward,
-    riccati_backward_py,
-    using_numba,
-)
+from carlab.kernels import PSI_CONSTANT, PSI_PIECEWISE, PSI_ZERO, riccati_backward
 
 
-def test_jit_and_python_paths_agree(baseline_spec):
+def scalar_riccati_backward(r, h, substep, kind, a0, a1, a2, a3, a4, a5):
+    """Reference: the one-substep-at-a-time RK4 loop with psi evaluated inline."""
+    n = r.shape[0]
+    u = np.zeros(n)
+    uu = 0.0
+    for i in range(n - 1, 0, -1):
+        ra = r[i]
+        rb = r[i - 1]
+        span = ra - rb
+        m = int(math.ceil(span / substep))
+        if m < 1:
+            m = 1
+        dt = -span / m
+        rr = ra
+        for _ in range(m):
+            rm = rr + 0.5 * dt
+            re = rr + dt
+            if kind == 0:
+                pa = a4 if rr <= a1 else (0.0 if rr >= a2 else a0 / (1.0 - (1.0 + rr) ** (-a3)) - a5)
+                pm = a4 if rm <= a1 else (0.0 if rm >= a2 else a0 / (1.0 - (1.0 + rm) ** (-a3)) - a5)
+                pe = a4 if re <= a1 else (0.0 if re >= a2 else a0 / (1.0 - (1.0 + re) ** (-a3)) - a5)
+            elif kind == 1:
+                pa = a0 if rr <= a1 else 0.0
+                pm = a0 if rm <= a1 else 0.0
+                pe = a0 if re <= a1 else 0.0
+            else:
+                pa = 0.0
+                pm = 0.0
+                pe = 0.0
+            k1 = (uu * uu - pa) / h
+            v2 = uu + 0.5 * dt * k1
+            k2 = (v2 * v2 - pm) / h
+            v3 = uu + 0.5 * dt * k2
+            k3 = (v3 * v3 - pm) / h
+            v4 = uu + dt * k3
+            k4 = (v4 * v4 - pe) / h
+            uu = uu + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            rr = re
+        u[i - 1] = uu
+    return u
+
+
+def _assert_matches_reference(args):
+    got = riccati_backward(*args)
+    ref = scalar_riccati_backward(*args)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
+
+
+def _substep(r, h, many):
+    # the widest span sets a substep that every span takes in one step;
+    # h/80 makes the spans take from one to many substeps
+    if many:
+        assert np.ceil(np.diff(r) / (h / 80.0)).max() > 10
+        return h / 80.0
+    return float(np.diff(r).max())
+
+
+@pytest.mark.parametrize("many", [False, True], ids=["one_substep", "many_substeps"])
+def test_piecewise_profile_matches_scalar_reference(baseline_spec, many):
     s = baseline_spec
-    r = np.concatenate([[0.0], np.geomspace(1e-4, 2.0 * s.R1, 800)])
-    args = (r, 0.05, 0.05 / 80.0, PSI_PIECEWISE, s.B, s.R0, s.R1, s.delta, s.plateau, s.E / 4.0)
-    a = riccati_backward(*args)
-    b = riccati_backward_py(*args)
-    # same source, IEEE semantics (no fastmath): bitwise identical
-    assert np.array_equal(a, b)
-
-
-def test_constant_profile_paths_agree():
-    r = np.linspace(0.0, 1.7, 500)
-    args = (r, 0.1, 0.1 / 40.0, PSI_CONSTANT, 2.5, 1.7, 0.0, 0.0, 0.0, 0.0)
-    assert np.array_equal(riccati_backward(*args), riccati_backward_py(*args))
-
-
-def test_env_flag_selects_python_path():
-    code = (
-        "from carlab.kernels import using_numba, riccati_backward, riccati_backward_py;"
-        "assert not using_numba();"
-        "assert riccati_backward is riccati_backward_py"
+    r = np.concatenate([[0.0], np.geomspace(1e-4, s.R1, 800)])
+    r[-1] = s.R1
+    h = 0.05
+    _assert_matches_reference(
+        (r, h, _substep(r, h, many), PSI_PIECEWISE,
+         s.B, s.R0, s.R1, s.delta, s.plateau, s.E / 4.0)
     )
-    env = dict(os.environ, CARLAB_DISABLE_NUMBA="1")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
-def test_missing_numba_selects_python_path():
-    # a None entry in sys.modules makes `import numba` raise ImportError,
-    # so the documented fallback is exercised even where numba is installed
-    code = (
-        "import sys; sys.modules['numba'] = None;"
-        "from carlab.kernels import using_numba, riccati_backward, riccati_backward_py;"
-        "assert not using_numba();"
-        "assert riccati_backward is riccati_backward_py"
+@pytest.mark.parametrize("many", [False, True], ids=["one_substep", "many_substeps"])
+def test_constant_profile_matches_scalar_reference(many):
+    # the jump at R = 1.0 falls inside a span, so substeps straddle it
+    r = np.linspace(0.0, 1.7, 60)
+    h = 0.1
+    _assert_matches_reference(
+        (r, h, _substep(r, h, many), PSI_CONSTANT, 2.5, 1.0, 0.0, 0.0, 0.0, 0.0)
     )
-    env = {k: v for k, v in os.environ.items() if k != "CARLAB_DISABLE_NUMBA"}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
-def _numba_importable() -> bool:
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
+@pytest.mark.parametrize("substep", [1.0, 1e-3])  # one substep per span, then 21
+def test_zero_profile_matches_scalar_reference(substep):
+    r = np.linspace(0.0, 1.0, 50)
+    args = (r, 0.1, substep, PSI_ZERO, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert np.array_equal(riccati_backward(*args), scalar_riccati_backward(*args))
 
 
-def test_numba_active_by_default():
-    if os.environ.get("CARLAB_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes"}:
-        assert not using_numba()
-    elif _numba_importable():
-        assert using_numba()
-    else:
-        assert riccati_backward is riccati_backward_py
+def test_short_grids():
+    for r in (np.array([0.0]), np.array([0.0, 1.0])):
+        args = (r, 0.1, 0.01, PSI_CONSTANT, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0)
+        assert np.array_equal(riccati_backward(*args), scalar_riccati_backward(*args))

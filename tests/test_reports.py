@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 
 from carlab import BoxDiscretization, catalog_potential, sweep_h
+from carlab.cli import main
 from carlab.reports import (
     WEIGHT_COLUMNS,
     fit_report_dict,
     read_columnar,
     read_report,
     weight_report_dict,
-    write_margin_reports,
+    write_columnar,
     write_plot_data,
     write_report,
     write_sweep_csv,
     write_weight_table,
 )
-from carlab.verify import verify_barrier_facts
 
 
 def test_weight_table_roundtrip(tmp_path, baseline_tables):
@@ -29,6 +29,19 @@ def test_weight_table_roundtrip(tmp_path, baseline_tables):
     assert np.array_equal(cols["u"], baseline_tables.u)
     assert np.array_equal(cols["phi"], baseline_tables.phi)
     assert np.array_equal(cols["m"], baseline_tables.m)
+
+
+def test_columnar_matches_per_cell_writer(tmp_path, baseline_tables):
+    arrays = [baseline_tables.r, baseline_tables.u, baseline_tables.phi,
+              np.array([-0.0, np.inf, np.nan, -1e-300] * (baseline_tables.r.size // 4)
+                       + [5e-324] * (baseline_tables.r.size % 4))]
+    columns = ("r", "u", "phi", "odd")
+    path = tmp_path / "table.txt"
+    write_columnar(path, columns, arrays)
+    expected = " ".join(columns) + "\n" + "".join(
+        " ".join("%.17e" % a[i] for a in arrays) + "\n" for i in range(arrays[0].size)
+    )
+    assert path.read_bytes() == expected.encode()
 
 
 def test_weight_table_significant_digits(tmp_path, baseline_tables):
@@ -57,14 +70,16 @@ def test_report_writes_are_deterministic(tmp_path, baseline_tables):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_margin_report_serialization(tmp_path, baseline_tables):
-    reports = verify_barrier_facts(baseline_tables)
-    path = tmp_path / "margins.json"
-    write_margin_reports(path, reports)
-    data = json.loads(path.read_text())
-    assert len(data["reports"]) == len(reports)
+def test_margin_report_serialization(tmp_path):
+    # the baseline verify fails by design (exit 3) but still writes every report
+    assert main(["verify", "--out", str(tmp_path)]) == 3
+    data = json.loads((tmp_path / "margins_report.json").read_text())
+    margin_keys = {"name", "min_margin", "argmin", "grid_size", "tolerance", "pass"}
+    error_keys = {"name", "error", "pass"}
+    assert len(data["reports"]) >= 9
+    assert any(set(entry) == margin_keys for entry in data["reports"])
     for entry in data["reports"]:
-        assert set(entry) == {"name", "min_margin", "argmin", "grid_size", "tolerance", "pass"}
+        assert set(entry) in (margin_keys, error_keys)
 
 
 def test_sweep_csv_and_plot_data(tmp_path):

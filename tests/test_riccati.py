@@ -3,6 +3,7 @@ import pytest
 
 from carlab import ConstructionError, build_weight_tables, solve_riccati_constant
 from carlab.kernels import PSI_ZERO, riccati_backward
+from carlab import weights
 from carlab.weights import radial_grid, solve_phi_riccati
 
 
@@ -38,6 +39,24 @@ def test_residual_within_tolerance(combo_tables):
 def test_tail_exactly_zero(combo_tables):
     for wt in combo_tables.values():
         assert np.all(wt.u[wt.grid.i_r1:] == 0.0)
+
+
+def test_kernel_integrates_only_up_to_r1(baseline_spec, monkeypatch):
+    # the kernel starts at u(R1) = 0; [R1, r_max] is filled without it
+    grids = []
+
+    def spy(r, *args):
+        grids.append(np.array(r))
+        return riccati_backward(r, *args)
+
+    monkeypatch.setattr(weights, "riccati_backward", spy)
+    grid = radial_grid(baseline_spec)
+    u, phi, _, _ = solve_phi_riccati(baseline_spec, 0.05, grid)
+    assert len(grids) == 1
+    assert grids[0][0] == 0.0 and grids[0][-1] == baseline_spec.R1
+    assert np.array_equal(grids[0][1:], grid.nodes[: grid.i_r1 + 1])
+    assert np.all(u[grid.i_r1:] == 0.0)
+    assert np.all(phi[grid.i_r1:] == phi[grid.i_r1])
 
 
 def test_phi_normalization(baseline_tables):
