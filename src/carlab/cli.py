@@ -287,7 +287,6 @@ def cmd_verify(cfg, out: Path, tolerance: float | None = None) -> int:
     # E is not passed: the trapping gate A > E only matters for sweeps
     pot = dict(cfg["resolvent"]["potential"])
     pot_id = pot.pop("id")
-    pot.pop("c", None)
     v_inst = catalog_radial(
         pot_id, p.delta0, wt.grid.nodes,
         **{k: float(v) for k, v in pot.items()},

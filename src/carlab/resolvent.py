@@ -3,15 +3,17 @@
 P = -h^2 Lap + V - E on a truncated box with homogeneous Dirichlet walls,
 5-point stencil.  The -i*eps shift is applied at solve time; one LU of
 P - i*eps is cached per (operator, eps) and serves every right-hand side,
-every sweep mode and the adjoint of the Lanczos norm iteration.
+every sweep mode and, as its trans="H" solve, the Lanczos norm's adjoint.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     ConstructionError,
@@ -196,15 +198,18 @@ def weighted_resolvent_norm(
     max_iter: int = 2000,
     seed: int = 0,
 ) -> NormEstimate:
-    """Largest singular value of A = W_L (P - i eps)^-1 W_R by ARPACK
-    Lanczos on the Hermitian A*A, started from a vector drawn from seed.
+    """Largest singular value of A = W_L (P - i eps)^-1 W_R by Lanczos on
+    the Hermitian A*A, started from a vector drawn from seed.
 
-    A is scale / solve / scale with the cached LU of P - i eps; P is real
-    symmetric, so the adjoint solve is conj(lu.solve(conj(y))).  Lanczos
-    also resolves the box's symmetry-degenerate top modes.  One more
-    application certifies the result by the Hermitian eigenpair residual
-    |A*A z - lam z| <= tol * lam, which bounds the eigenvalue error.
-    iterations counts A*A applications, at most max_iter.
+    A is scale / solve / scale with the cached LU of P - i eps, and A* uses
+    the same LU through its trans="H" solve.  Each step is reorthogonalized
+    twice against the whole basis, which also resolves the box's
+    symmetry-degenerate top modes, and the iteration stops once the top
+    Ritz residual beta_k |s_k| is at most tol/10 times the Ritz value, or
+    on breakdown.  One more application certifies the result by the
+    Hermitian eigenpair residual |A*A z - lam z| <= tol * lam, which bounds
+    the eigenvalue error.  iterations counts A*A applications, at most
+    max_iter.
     """
     if not (eps > 0.0):
         raise SolverError(f"eps nonpositive: {eps}")
@@ -226,19 +231,30 @@ def weighted_resolvent_norm(
         if applied >= max_iter:
             raise failed(f"max_iter exceeded ({max_iter})")
         applied += 1
-        y = wr * np.conj(lu.solve(np.conj(wl2 * lu.solve(wr * x))))
+        y = wr * lu.solve(wl2 * lu.solve(wr * x), trans="H")
         rayleigh = float(np.vdot(x, y).real / np.vdot(x, x).real)
         return y
 
     n = op.disc.size
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    gram = spla.LinearOperator((n, n), matvec=apply_gram, dtype=complex)
-    try:
-        _, vecs = spla.eigsh(gram, k=1, which="LA", v0=v0, tol=tol / 10.0, maxiter=max(max_iter, 1))
-    except spla.ArpackNoConvergence as exc:
-        raise failed("ARPACK did not converge") from exc
-    z = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    basis = np.empty((32, n), dtype=complex)  # rows q_0..q_k, doubled when full
+    basis[0] = v0 / np.linalg.norm(v0)
+    alpha, beta = [], []
+    for k in itertools.count():
+        y = apply_gram(basis[k])
+        alpha.append(rayleigh)  # q_k^H A*A q_k, as q_k is a unit vector
+        for _ in range(2):  # Gram-Schmidt against every q_j, in place
+            y -= np.conj(basis[:k + 1] @ np.conj(y)) @ basis[:k + 1]
+        theta, s = eigh_tridiagonal(alpha, beta, select="i", select_range=(k, k))
+        beta.append(float(np.linalg.norm(y)))
+        if beta[-1] * abs(s[-1, 0]) <= tol / 10.0 * theta[0]:  # breakdown meets it too
+            break
+        if k + 1 == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis)])
+        basis[k + 1] = y / beta[-1]
+    z = s[:, 0] @ basis[:k + 1]
+    z = z / np.linalg.norm(z)
     y = apply_gram(z)
     rel = float(np.linalg.norm(y - rayleigh * z)) / rayleigh
     if not rel <= tol:

@@ -84,6 +84,22 @@ def test_verify_oversized_shift_exit_three(tmp_path):
     assert "shift_envelope" in failing
 
 
+def test_verify_instance_margins_use_configured_c(tmp_path):
+    # verify must check the same potential the sweep measures, c included
+    margins = {}
+    for c in (0.5, 1.0):
+        cfg = write_cfg(tmp_path, {"resolvent": {"potential": {"id": "radial_decay", "c": c}}},
+                        name=f"c{c}.json")
+        out = tmp_path / f"out{c}"
+        assert run(["verify", "--config", cfg, "--out", out]) in (0, 3)
+        data = json.loads((out / "margins_report.json").read_text())
+        margins[c] = {r["name"]: r["min_margin"] for r in data["reports"]
+                      if r["name"].endswith("[instance:radial_decay]")}
+    assert len(margins[0.5]) == 2
+    for name, margin in margins[0.5].items():
+        assert margin != margins[1.0][name]
+
+
 def test_sweep_writes_artifacts(tmp_path):
     cfg = write_cfg(tmp_path, BASELINE_SWEEP)
     out = tmp_path / "out"

@@ -68,11 +68,38 @@ def test_exterior_weight_beyond_box_gives_zero(small_box):
     assert est.value == 0.0
 
 
+def test_exterior_weight_on_few_nodes_breaks_down(small_box):
+    # only the four corner nodes lie beyond R, so A*A has rank 4 and the
+    # Krylov space is exhausted: Lanczos must stop on the breakdown without
+    # dividing by the vanishing beta, and still match the dense SVD
+    w = weight_diag(small_box, 0.6, R=2.8)
+    nonzero = int(np.count_nonzero(w.values))
+    assert nonzero == 4
+    for name, params in (("zero", {}), ("trapping_ring", {"A": 2.0, "rho": 1.0, "sigma": 0.25})):
+        op = _operator(small_box, name, 0.25, **params)
+        for eps in (1e-4, 1e-2):
+            with np.errstate(divide="raise", invalid="raise"):
+                est = weighted_resolvent_norm(op, eps, w, w, seed=0)
+            oracle = dense_resolvent_norm(op, eps, w, w)
+            assert abs(est.value - oracle) / oracle <= 1e-6
+            assert est.iterations <= nonzero + 1
+
+
+def test_adjoint_solve_by_transpose(small_box, rng):
+    # the norm applies A* with the LU of P - i eps itself: its trans="H"
+    # solve is a solve with (P - i eps)^* = P + i eps
+    op = _operator(small_box, "radial_decay", 0.25, c=1.0)
+    y = rng.standard_normal((small_box.size, 3)) + 1j * rng.standard_normal((small_box.size, 3))
+    for eps in (1e-6, 1e-4, 5e-2):
+        adjoint = op.factor(eps).solve(y, trans="H")
+        direct = spla.splu(op.shifted(-eps), **LU_OPTIONS).solve(y)
+        assert np.linalg.norm(adjoint - direct) <= 1e-10 * np.linalg.norm(direct)
+
+
 def test_adjoint_solve_by_conjugation(small_box, rng):
     # P is real symmetric, so the one LU of P - i eps also solves with
     # (P - i eps)^* = P + i eps by conjugation, bit for bit under the same
-    # LU options: the norm's A* and the byte-identical sweep artifacts rest
-    # on it
+    # LU options
     op = _operator(small_box, "radial_decay", 0.25, c=1.0)
     y = rng.standard_normal((small_box.size, 3)) + 1j * rng.standard_normal((small_box.size, 3))
     for eps in (1e-6, 1e-4, 5e-2):
@@ -103,7 +130,8 @@ def test_max_iter_carries_estimate(small_box):
 
 
 def test_zero_max_iter_applies_nothing(small_box):
-    # ARPACK rejects maxiter = 0; the cap must still end in the solver error
+    # the cap is checked before each application, so max_iter = 0 applies
+    # nothing and still ends in the solver error
     op = _operator(small_box, "zero", 0.25)
     w = weight_diag(small_box, 0.6)
     with pytest.raises(PowerIterationError) as err:

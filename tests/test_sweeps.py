@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -9,6 +11,7 @@ from carlab import (
     catalog_potential,
     sweep_h,
 )
+from carlab.cli import load_config
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +127,25 @@ def test_plot_pairs_shape(sweep_box, zero_field):
     assert pairs.shape == (2, 2)
     assert pairs[0, 0] == pytest.approx(2.5)
     assert pairs[0, 1] == pytest.approx(np.log(result.rows[0].norm))
+
+
+def test_baseline_sweep_stops_once_converged():
+    # configs/baseline.json through sweep_h: each row's Lanczos stops as soon
+    # as its top Ritz residual is within tol/10.  A fixed 20-vector Arnoldi
+    # took 22 applications on every row, 220 over both modes; the bound is
+    # 0.8 of that
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "baseline.json"))
+    rcfg = cfg["resolvent"]
+    pot = {k: v for k, v in rcfg["potential"].items() if k not in ("id", "c")}
+    disc = BoxDiscretization(L=rcfg["box"]["half_width"], n=rcfg["box"]["n"])
+    V = catalog_potential(rcfg["potential"]["id"], cfg["problem"]["delta0"], disc,
+                          E=cfg["problem"]["E"], **pot)
+    results = sweep_h(
+        V, cfg["problem"]["E"], rcfg["s"], rcfg["hs"], eps_rule=lambda h: h / rcfg["eps"]["value"],
+        modes=rcfg["modes"], disc=disc, R=pot["rho"] + 3.0 * pot["sigma"],
+        tol=rcfg["tol"], max_iter=rcfg["max_iter"], seed=cfg["seed"],
+    )
+    rows = [row for result in results.values() for row in result.rows]
+    assert len(rows) == 10
+    assert all(row.residual <= rcfg["tol"] for row in rows)
+    assert sum(row.iterations for row in rows) <= 176
