@@ -119,7 +119,7 @@ resolvent:
   R: "auto" | float             exterior cutoff; auto = rho + 3 sigma for the
                                 ring potential, 1.0 otherwise
   tol: float                    Lanczos eigenpair residual certificate
-  max_iter: int                 cap on A*A applications per norm
+  max_iter: int                 cap on a row's A*A applications, all sectors
 output:
   dir: str                      artifact directory
 """

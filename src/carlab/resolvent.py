@@ -4,6 +4,7 @@ P = -h^2 Lap + V - E on a truncated box with homogeneous Dirichlet walls,
 5-point stencil.  The -i*eps shift is applied at solve time; one LU of
 P - i*eps is cached per (operator, eps) and serves every right-hand side,
 every sweep mode and, as its trans="H" solve, the Lanczos norm's adjoint.
+Sweeps measure one quarter-box operator per reflection sector of the box.
 """
 
 import itertools
@@ -35,8 +36,9 @@ LU_OPTIONS = dict(permc_spec=PERMC_SPEC, diag_pivot_thresh=0.01, options={"Symme
 class BoxDiscretization:
     """Square [-L, L]^2 with n nodes per axis, spacing a = 2L/(n-1).
 
-    Odd n places a node at the origin, which the shift and quadratic-form
-    fixtures rely on; sweeps accept any n >= 4.
+    The axis is odd bit for bit with ends at +-L, and odd n places a node
+    exactly at the origin, which the shift and quadratic-form fixtures rely
+    on; sweeps accept any n >= 4.
     """
 
     L: float
@@ -57,7 +59,8 @@ class BoxDiscretization:
         return self.n * self.n
 
     def axis(self) -> np.ndarray:
-        return np.linspace(-self.L, self.L, self.n)
+        x = np.linspace(-self.L, self.L, self.n)
+        return 0.5 * (x - x[::-1])  # moves no node by more than 2 ulp of L
 
     def mesh(self):
         x = self.axis()
@@ -209,7 +212,8 @@ def weighted_resolvent_norm(
     on breakdown.  One more application certifies the result by the
     Hermitian eigenpair residual |A*A z - lam z| <= tol * lam, which bounds
     the eigenvalue error.  iterations counts A*A applications, at most
-    max_iter.
+    max_iter; past it, or past a missed certificate, PowerIterationError
+    carries sqrt of the latest top Ritz value as its estimate.
     """
     if not (eps > 0.0):
         raise SolverError(f"eps nonpositive: {eps}")
@@ -220,10 +224,10 @@ def weighted_resolvent_norm(
     wr = w_right.values
     if not np.any(wl2) or not np.any(wr):
         return NormEstimate(value=0.0, iterations=0, residual=0.0)
-    applied, rayleigh = 0, 0.0
+    applied, rayleigh, theta = 0, 0.0, np.zeros(1)
 
-    def failed(why):
-        est = math.sqrt(max(rayleigh, 0.0))
+    def failed(why):  # the estimate is the latest top Ritz value
+        est = math.sqrt(max(theta[0], 0.0))
         return PowerIterationError(f"{why}; estimate {est:.6e}", estimate=est, iterations=applied)
 
     def apply_gram(x):
@@ -235,7 +239,7 @@ def weighted_resolvent_norm(
         rayleigh = float(np.vdot(x, y).real / np.vdot(x, x).real)
         return y
 
-    n = op.disc.size
+    n = op.matrix.shape[0]
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     basis = np.empty((32, n), dtype=complex)  # rows q_0..q_k, doubled when full
@@ -267,6 +271,55 @@ def dense_resolvent_norm(op, eps, w_left, w_right) -> float:
     A = np.linalg.inv(op.shifted(eps).toarray())
     A = (w_left.values[:, None]) * A * (w_right.values[None, :])
     return float(np.linalg.svd(A, compute_uv=False)[0])
+
+
+def _axis_halves(n):
+    """Even and odd parity bases e_i +- e_{n-1-i} of one axis and their
+    representative nodes i; for odd n the centre node joins the even half."""
+    eye, m = np.eye(n), n // 2
+    return [(sp.csr_matrix(np.sign(eye + eye[::-1])[:, :n - m]), np.arange(n - m)),
+            (sp.csr_matrix((eye - eye[::-1])[:, :m]), np.arange(m))]
+
+
+def reflection_sectors(disc: BoxDiscretization, *fields) -> list:
+    """(S, rep) per parity sector of the reflections x -> -x, y -> -y that
+    every field (one value per node) respects exactly.  S = kron(B_x, B_y)
+    extends values at the representative nodes rep to the box by parity
+    (entries +-1, S[rep] = I), so S scaled by 1/sqrt(column counts) is an
+    orthonormal basis, P S = S P[rep] S and a symmetric diagonal W has
+    W S = S diag(W[rep]).  (odd, even) is dropped when the fields are also
+    transpose symmetric, as it is the transpose of (even, odd): radial
+    fields give 3 sectors, no symmetry 1.
+    """
+    n = disc.n
+    grids = [np.reshape(f, (n, n)) for f in fields]
+    whole = [(sp.identity(n, format="csr"), np.arange(n))]
+
+    def halves(flip):
+        return _axis_halves(n) if all(np.array_equal(g, flip(g)) for g in grids) else whole
+
+    pairs = list(itertools.product(halves(lambda g: g[::-1]), halves(lambda g: g[:, ::-1])))
+    if len(pairs) == 4 and all(np.array_equal(g, g.T) for g in grids):
+        del pairs[2]  # (odd, even)
+    return [(sp.kron(bx, by, format="csc"), (rx[:, None] * n + ry).ravel())
+            for (bx, rx), (by, ry) in pairs]
+
+
+def _sector_step(op, S, rep, row, eps, w, tol, max_iter, seed) -> tuple:
+    """A row's (norm, applications, residual) after one more sector: largest
+    norm and residual, applications summed under one max_iter budget.  On the
+    orthonormal basis S/k, A is W k (P[rep] S - i eps)^-1 W / k: the
+    irrational k rounds in the weights, not in the nearly singular P."""
+    best, used, resid = row
+    k = np.sqrt(np.diff(S.indptr))
+    wl, wr = WeightDiag(w.values[rep] * k, w.s, w.R), WeightDiag(w.values[rep] / k, w.s, w.R)
+    try:
+        est = weighted_resolvent_norm(op, eps, wl, wr, tol, max_iter - used, seed)
+    except PowerIterationError as exc:
+        top = max(best, exc.estimate)
+        raise PowerIterationError(f"{exc} in a sector; row estimate {top:.6e}",
+                                  estimate=top, iterations=used + exc.iterations) from exc
+    return max(best, est.value), used + est.iterations, max(resid, est.residual)
 
 
 # ----------------------------------------------------------------------------
@@ -342,7 +395,10 @@ def sweep_h(
     """One weighted-norm row per h (descending) and mode, as {mode: SweepResult}.
 
     eps_rule is a constant or a callable h -> eps.  Each h assembles one
-    operator, and its one factorization serves every mode.  The box is
+    operator and restricts it to the reflection sectors that V and every
+    weight respect; each sector's one factorization serves every mode.  A
+    row's norm and residual are the largest over sectors, and iterations
+    sums them under max_iter.  The box is
     validated once against the largest h (spacing a <= max(hs)/4); later
     rows reuse the grid, where the points-per-wavelength count only grows
     milder than the a <= h/4 rule.
@@ -364,21 +420,25 @@ def sweep_h(
             f"max(h)/4 = {max(hs) / 4:.4g}"
         )
     weights = {mode: weight_diag(disc, s, R if mode == "exterior" else None) for mode in modes}
+    sectors = reflection_sectors(disc, V.values, *(w.values for w in weights.values()))
     rows = []
     for h in hs:
         try:
             eps = float(eps_rule(h)) if callable(eps_rule) else float(eps_rule)
             if not (eps > 0.0):
                 raise SolverError(f"eps rule produced nonpositive eps = {eps} at h = {h}")
-            op = assemble(V, E, h, disc, check_resolution=False)
+            P = assemble(V, E, h, disc, check_resolution=False).matrix.tocsr()
+            mats = [(P[rep] @ S).tocsc() for S, rep in sectors]
+            del P  # the full box is not kept through the Lanczos runs
+            found = dict.fromkeys(modes, (0.0, 0, 0.0))
+            for mat, (S, rep) in zip(mats, sectors):  # one sector LU alive at a time
+                op = DiscreteOperator(mat, h, E, disc)
+                for mode, w in weights.items():
+                    found[mode] = _sector_step(op, S, rep, found[mode], eps, w, tol, max_iter, seed)
             for mode, w in weights.items():
-                est = weighted_resolvent_norm(
-                    op, eps, w, w, tol=tol, max_iter=max_iter, seed=seed
-                )
-                rows.append(SweepRow(
-                    h=h, eps=eps, mode=mode, s=s, R=w.R,
-                    norm=est.value, iterations=est.iterations, residual=est.residual,
-                ))
+                norm, iterations, residual = found[mode]
+                rows.append(SweepRow(h=h, eps=eps, mode=mode, s=s, R=w.R, norm=norm,
+                                     iterations=iterations, residual=residual))
         except SolverError as exc:
             raise SweepAbortedError(
                 f"sweep row h = {h} failed: {exc}", partial_rows=rows, failed_h=h

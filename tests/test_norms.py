@@ -86,8 +86,9 @@ def test_exterior_weight_on_few_nodes_breaks_down(small_box):
 
 
 def test_adjoint_solve_by_transpose(small_box, rng):
-    # the norm applies A* with the LU of P - i eps itself: its trans="H"
-    # solve is a solve with (P - i eps)^* = P + i eps
+    # the norm applies A* with the LU of the operator it is given (in a
+    # sweep, a sector operator's P - i eps): its trans="H" solve is a
+    # solve with (P - i eps)^* = P + i eps
     op = _operator(small_box, "radial_decay", 0.25, c=1.0)
     y = rng.standard_normal((small_box.size, 3)) + 1j * rng.standard_normal((small_box.size, 3))
     for eps in (1e-6, 1e-4, 5e-2):
@@ -127,6 +128,22 @@ def test_max_iter_carries_estimate(small_box):
     assert err.value.estimate is not None
     assert err.value.estimate > 0.0
     assert err.value.iterations == 2
+
+
+def test_max_iter_estimate_is_top_ritz_value(small_box):
+    # the cap error carries sqrt of the latest top Ritz value, which climbs
+    # to the norm from below; the last applied Lanczos vector's Rayleigh
+    # quotient read 3.07, 2.18 and 3.19 here
+    op = _operator(small_box, "zero", 0.25)
+    w = weight_diag(small_box, 0.6)
+    dense = dense_resolvent_norm(op, 1e-4, w, w)
+    assert dense == pytest.approx(15.0214, abs=1e-4)
+    for max_iter in (4, 6, 8):
+        with pytest.raises(PowerIterationError) as err:
+            weighted_resolvent_norm(op, 1e-4, w, w, tol=1e-16, max_iter=max_iter)
+        assert err.value.iterations == max_iter
+        assert abs(err.value.estimate - dense) <= 1e-3
+        assert err.value.estimate <= (1.0 + 1e-9) * dense
 
 
 def test_zero_max_iter_applies_nothing(small_box):

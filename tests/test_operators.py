@@ -24,6 +24,21 @@ def test_spacing():
     assert disc.size == 65 * 65
 
 
+def test_axis_exactly_odd_with_centre_node():
+    # linspace is not mirror-exact: at (n, L) = (25, 6.44) its centre node
+    # is 8.9e-16, not 0.  The axis must be odd bit for bit, keep the ends at
+    # +-L, put odd n's centre node exactly at 0, and stay within 2 ulp of L
+    # of linspace
+    for L in (2.0, 2.5, 3.0, 6.44, 1.0 / 3.0, 1.5):
+        for n in range(4, 400):
+            x = BoxDiscretization(L=L, n=n).axis()
+            np.testing.assert_array_equal(x, -x[::-1])
+            assert x[0] == -L and x[-1] == L
+            if n % 2:
+                assert x[n // 2] == 0.0
+            assert np.abs(x - np.linspace(-L, L, n)).max() <= 2.0 * np.spacing(L)
+
+
 def test_invalid_boxes():
     with pytest.raises(ConstructionError):
         BoxDiscretization(L=0.0, n=16)

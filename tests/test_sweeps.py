@@ -1,3 +1,5 @@
+import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,11 +9,18 @@ import scipy.sparse.linalg as spla
 from carlab import (
     BoxDiscretization,
     ConstructionError,
+    PowerIterationError,
     SweepAbortedError,
+    assemble,
     catalog_potential,
+    dense_resolvent_norm,
     sweep_h,
+    weight_diag,
+    weighted_resolvent_norm,
 )
+from carlab import resolvent
 from carlab.cli import load_config
+from carlab.resolvent import reflection_sectors
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +80,13 @@ def test_modes_share_one_factorization_per_h(sweep_box, zero_field, monkeypatch)
     monkeypatch.setattr(spla, "splu", counting_splu)
     both = sweep_h(zero_field, 1.0, 0.6, hs, eps_rule=1e-2, modes=["interior", "exterior"],
                    R=R, disc=sweep_box)
-    assert len(calls) == len(hs)
+    # one LU per h and reflection sector (3 for radial fields), shared by
+    # both modes
+    sectors = reflection_sectors(sweep_box, zero_field.values,
+                                 weight_diag(sweep_box, 0.6).values,
+                                 weight_diag(sweep_box, 0.6, R).values)
+    assert len(sectors) == 3
+    assert len(calls) == len(hs) * len(sectors)
     assert list(both) == ["interior", "exterior"]
     assert both["interior"] == interior
     assert both["exterior"] == exterior
@@ -129,17 +144,27 @@ def test_plot_pairs_shape(sweep_box, zero_field):
     assert pairs[0, 1] == pytest.approx(np.log(result.rows[0].norm))
 
 
-def test_baseline_sweep_stops_once_converged():
-    # configs/baseline.json through sweep_h: each row's Lanczos stops as soon
-    # as its top Ritz residual is within tol/10.  A fixed 20-vector Arnoldi
-    # took 22 applications on every row, 220 over both modes; the bound is
-    # 0.8 of that
+def test_baseline_sweep_stops_once_converged(monkeypatch):
+    # configs/baseline.json through sweep_h: each sector's Lanczos stops as
+    # soon as its top Ritz residual is within tol/10.  A fixed 20-vector
+    # Arnoldi took 22 full-box applications on every row, 220 over both
+    # modes; the bound is 0.8 of that, counted in box-sized applications
+    # (a sector application weighs its size over the box size)
     cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "baseline.json"))
     rcfg = cfg["resolvent"]
     pot = {k: v for k, v in rcfg["potential"].items() if k not in ("id", "c")}
     disc = BoxDiscretization(L=rcfg["box"]["half_width"], n=rcfg["box"]["n"])
     V = catalog_potential(rcfg["potential"]["id"], cfg["problem"]["delta0"], disc,
                           E=cfg["problem"]["E"], **pot)
+    work = []
+    norm = resolvent.weighted_resolvent_norm
+
+    def counting_norm(op, *args, **kwargs):
+        est = norm(op, *args, **kwargs)
+        work.append(est.iterations * op.matrix.shape[0] / disc.size)
+        return est
+
+    monkeypatch.setattr(resolvent, "weighted_resolvent_norm", counting_norm)
     results = sweep_h(
         V, cfg["problem"]["E"], rcfg["s"], rcfg["hs"], eps_rule=lambda h: h / rcfg["eps"]["value"],
         modes=rcfg["modes"], disc=disc, R=pot["rho"] + 3.0 * pot["sigma"],
@@ -148,4 +173,84 @@ def test_baseline_sweep_stops_once_converged():
     rows = [row for result in results.values() for row in result.rows]
     assert len(rows) == 10
     assert all(row.residual <= rcfg["tol"] for row in rows)
-    assert sum(row.iterations for row in rows) <= 176
+    assert all(row.iterations <= rcfg["max_iter"] for row in rows)
+    assert sum(work) <= 176
+
+
+# ----------------------------------------------------------------------------
+# reflection sectors
+# ----------------------------------------------------------------------------
+
+def _field(disc, kind):
+    """A field2d sample of one symmetry class, with its sector count."""
+    X, Y = disc.mesh()
+    values, count = {
+        "radial": (0.5 * np.exp(-2.0 * (X**2 + Y**2)), 3),
+        "even_anisotropic": (0.2 * (X**2 + 2.0 * Y**2), 4),
+        "even_in_x": (0.2 * X**2 + 0.1 * Y, 2),
+        "off_centre": (0.2 * ((X - 0.3) ** 2 + (Y - 0.2) ** 2), 1),
+    }[kind]
+    return replace(catalog_potential("zero", 0.4, disc), values=values.ravel()), count
+
+
+@pytest.mark.parametrize("n", [24, 25])
+@pytest.mark.parametrize("kind", ["radial", "even_anisotropic", "even_in_x", "off_centre"])
+def test_sectors_match_full_box(n, kind):
+    # the sector split must reproduce the full-box norm: against Lanczos on
+    # the assembled box operator and against the dense SVD
+    disc = BoxDiscretization(L=2.0, n=n)
+    V, count = _field(disc, kind)
+    s, R, tol = 0.6, 1.2, 1e-11
+    modes = {"interior": weight_diag(disc, s), "exterior": weight_diag(disc, s, R)}
+    assert len(reflection_sectors(disc, V.values, *(w.values for w in modes.values()))) == count
+    results = sweep_h(V, 1.0, s, [0.8], eps_rule=lambda h: h / 4.0, modes=list(modes),
+                      disc=disc, R=R, tol=tol, seed=3)
+    for mode, w in modes.items():
+        for row in results[mode].rows:
+            op = assemble(V, 1.0, row.h, disc, check_resolution=False)
+            full = weighted_resolvent_norm(op, row.eps, w, w, tol=tol, seed=3).value
+            assert abs(row.norm - full) <= 1e-9 * full
+            dense = dense_resolvent_norm(op, row.eps, w, w)
+            assert abs(row.norm - dense) <= 1e-6 * dense
+            assert row.residual <= tol
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_sector_bases_orthonormal_and_decoupled(n):
+    disc = BoxDiscretization(L=1.0, n=n)
+
+    def orthonormal(S):
+        return S.toarray() / np.sqrt(np.diff(S.indptr))
+
+    # all four parity sectors together form an orthonormal basis of the box
+    V4, _ = _field(disc, "even_anisotropic")
+    full = np.hstack([orthonormal(S) for S, _ in reflection_sectors(disc, V4.values)])
+    np.testing.assert_allclose(full.T @ full, np.eye(disc.size), atol=1e-15)
+    # on a radial field P leaves each sector invariant: no coupling across
+    # sectors, and P acts on a sector as P[rep] S on its representative nodes
+    V, _ = _field(disc, "radial")
+    P = assemble(V, 1.0, 0.5, disc, check_resolution=False).matrix.toarray()
+    sectors = reflection_sectors(disc, V.values)
+    assert len(sectors) == 3
+    for S, rep in sectors:
+        S = S.toarray()
+        np.testing.assert_array_equal(S[rep], np.eye(len(rep)))
+        np.testing.assert_allclose(P @ S, S @ (P[rep] @ S), rtol=0, atol=1e-13 * abs(P).max())
+    for (Sa, _), (Sb, _) in itertools.permutations(sectors, 2):
+        assert abs(orthonormal(Sa).T @ P @ orthonormal(Sb)).max() <= 1e-13 * abs(P).max()
+
+
+def test_sector_cap_error_carries_row_estimate(sweep_box):
+    # a cap that falls one application short of the row's total stops the
+    # last sector before its certificate: the error must carry the largest
+    # of the finished sector norms and the running top Ritz value
+    V = catalog_potential("trapping_ring", 0.4, sweep_box, E=1.0, A=2.0, rho=0.6, sigma=0.2)
+    row = _interior(V, 1.0, 0.6, [0.3], eps_rule=0.075, disc=sweep_box, seed=5).rows[0]
+    with pytest.raises(SweepAbortedError) as err:
+        _interior(V, 1.0, 0.6, [0.3], eps_rule=0.075, disc=sweep_box, seed=5,
+                  max_iter=row.iterations - 1)
+    cause = err.value.__cause__
+    assert isinstance(cause, PowerIterationError)
+    assert cause.iterations == row.iterations - 1
+    assert abs(cause.estimate - row.norm) <= 1e-6 * row.norm
+    assert cause.estimate <= (1.0 + 1e-9) * row.norm
