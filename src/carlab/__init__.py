@@ -18,7 +18,6 @@ from .resolvent import (
     DiscreteOperator,
     NormEstimate,
     SweepResult,
-    WeightDiag,
     assemble,
     dense_resolvent_norm,
     solve_shifted,

@@ -51,7 +51,7 @@ EXIT_SOLVER = 4
 
 DEFAULT_CONFIG = {
     "seed": 1234,
-    "problem": {"E": 1.0, "delta0": 0.4, "s": 0.6, "c": 0.5},
+    "problem": {"E": 1.0, "delta0": 0.4, "s": 0.6},
     "weights": {
         "r1": "auto",
         "search": None,
@@ -71,7 +71,7 @@ DEFAULT_CONFIG = {
         "box": {"half_width": 2.5, "n": 64},
         "potential": {"id": "trapping_ring", "c": 1.0, "A": 2.0, "rho": 1.0, "sigma": 0.25},
         "hs": [0.4, 0.3, 0.22, 0.16, 0.12],
-        "eps": {"rule": "constant", "value": 1e-6},
+        "eps": {"rule": "h_over", "value": 4.0},
         "s": 0.6,
         "modes": ["interior", "exterior"],
         "R": "auto",
@@ -91,7 +91,6 @@ problem:
   E: float > 0                  energy level
   delta0: float in (0, 1/2)     long-range decay exponent
   s: float > 1/2                weight exponent; delta = 2s - 1 must be < delta0
-  c: float > 0                  envelope constant (canonical 1/2)
 weights:
   r1: "auto" | float            continuity-exact construction at this R1;
                                 auto uses 1+R1 = 2 (1 + E delta0/4)^(1/delta)
@@ -113,7 +112,7 @@ resolvent:
   box: {half_width, n}
   potential: {id: zero | radial_decay | trapping_ring, c, A, rho, sigma}
   hs: descending floats         sweep values of h
-  eps: {rule: constant | h_over, value}   constant eps, or eps = h/value
+  eps: {rule: constant | h_over, value}   eps = value, or h/value (default h/4)
   s: float                      weight exponent of the sweep
   modes: ["interior", "exterior"]  nonempty, no mode repeated
   R: "auto" | float             exterior cutoff; auto = rho + 3 sigma for the
@@ -129,23 +128,34 @@ output:
 # config plumbing
 # ----------------------------------------------------------------------------
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _merge(defaults, given, path=""):
-    """Fill defaults recursively; reject unknown keys."""
+    """Fill defaults recursively and reject unknown keys.  A leaf whose
+    default is a number must hold a number, a whole one if the default is
+    an int; one whose default is "auto" or null may also keep that.  The
+    commands cast these leaves with float() or int().  x0 and search hold
+    a list and an object instead, which _validate_config checks."""
     if not isinstance(given, dict):
-        raise ConfigError(f"config section '{path or '<root>'}' must be an object")
-    out = {}
-    for key, dval in defaults.items():
-        if key in given:
-            gval = given[key]
-            if isinstance(dval, dict) and gval is not None:
-                out[key] = _merge(dval, gval, f"{path}{key}.")
-            else:
-                out[key] = gval
-        else:
-            out[key] = dval
+        raise ConfigError(f"config section '{path[:-1] or '<root>'}' must be an object")
     unknown = set(given) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(path + k for k in unknown)}")
+    out = dict(defaults)
+    for key, value in given.items():
+        default, name = defaults[key], path + key
+        if isinstance(default, dict):
+            value = _merge(default, value, name + ".")
+        elif (_is_number(default) or default in ("auto", None) and value != default
+              and name not in ("weights.search", "verify.x0")):
+            whole = isinstance(default, int)
+            if not _is_number(value) or whole and value % 1:  # nan % 1 and inf % 1 are nan
+                alt = "" if _is_number(default) else f" or {json.dumps(default)}"
+                kind = "an integer" if whole else "a number"
+                raise ConfigError(f"{name} must be {kind}{alt}, got {value!r}")
+        out[key] = value
     return out
 
 
@@ -172,14 +182,12 @@ def load_config(path: str | None, overrides=None) -> dict:
 
 
 def _validate_config(cfg: dict):
-    prob = cfg["problem"]
-    for key in ("E", "delta0", "s", "c"):
-        if not isinstance(prob[key], (int, float)):
-            raise ConfigError(f"problem.{key} must be a number")
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError("seed must be an integer")
+    search = cfg["weights"]["search"]
+    if search is not None and not (isinstance(search, dict)
+                                   and all(map(_is_number, search.values()))):
+        raise ConfigError("weights.search must be null or an object of numbers")
     hs = cfg["resolvent"]["hs"]
-    if not isinstance(hs, list) or not all(isinstance(h, (int, float)) for h in hs):
+    if not isinstance(hs, list) or not all(map(_is_number, hs)):
         raise ConfigError("resolvent.hs must be a list of numbers")
     if len(hs) == 0:
         raise ConfigError("no sweep points")
@@ -188,7 +196,7 @@ def _validate_config(cfg: dict):
     eps = cfg["resolvent"]["eps"]
     if eps["rule"] not in ("constant", "h_over"):
         raise ConfigError(f"unknown eps rule '{eps['rule']}'")
-    if not (float(eps["value"]) > 0.0):
+    if not (eps["value"] > 0.0):
         raise ConfigError("eps value must be positive")
     modes = cfg["resolvent"]["modes"]
     if not isinstance(modes, list):
@@ -199,21 +207,20 @@ def _validate_config(cfg: dict):
     if not modes or len(set(modes)) != len(modes):
         raise ConfigError(f"resolvent.modes must be nonempty without repeats, got {modes}")
     R = cfg["resolvent"]["R"]
-    if R != "auto" and (isinstance(R, bool) or not isinstance(R, (int, float)) or not R > 0.0):
+    if R != "auto" and not R > 0.0:
         raise ConfigError(f"resolvent.R must be \"auto\" or a positive number, got {R!r}")
     pot = cfg["resolvent"]["potential"]
     if pot["id"] not in ("zero", "radial_decay", "trapping_ring"):
         raise ConfigError(f"unknown potential id '{pot['id']}'")
     x0 = cfg["verify"]["x0"]
-    if x0 != "auto" and not (isinstance(x0, list) and len(x0) == 2):
+    if x0 != "auto" and not (isinstance(x0, list) and len(x0) == 2 and all(map(_is_number, x0))):
         raise ConfigError("verify.x0 must be \"auto\" or [x, y]")
 
 
 def _params(cfg) -> ProblemParams:
     prob = cfg["problem"]
     return validate_params(
-        ProblemParams(E=float(prob["E"]), delta0=float(prob["delta0"]),
-                      s=float(prob["s"]), c=float(prob["c"]))
+        ProblemParams(E=float(prob["E"]), delta0=float(prob["delta0"]), s=float(prob["s"]))
     )
 
 

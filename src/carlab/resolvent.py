@@ -2,9 +2,10 @@
 
 P = -h^2 Lap + V - E on a truncated box with homogeneous Dirichlet walls,
 5-point stencil.  The -i*eps shift is applied at solve time; one LU of
-P - i*eps is cached per (operator, eps) and serves every right-hand side,
-every sweep mode and, as its trans="H" solve, the Lanczos norm's adjoint.
-Sweeps measure one quarter-box operator per reflection sector of the box.
+P - i*eps is cached per (operator, eps) and serves every right-hand side.
+The weighted norm takes any LU: sweeps factor one quarter-box matrix per
+reflection sector of the box and hand that LU to every mode and, as its
+trans="H" solve, to the Lanczos norm's adjoint.
 """
 
 import itertools
@@ -91,8 +92,14 @@ class DiscreteOperator:
         """LU factorization of P - i*eps, cached per eps."""
         key = float(eps)
         if key not in self._factor_cache:
-            self._factor_cache[key] = spla.splu(self.shifted(eps), **LU_OPTIONS)
+            self._factor_cache[key] = factor_shifted(self.matrix, eps)
         return self._factor_cache[key]
+
+
+def factor_shifted(matrix: sp.csc_matrix, eps: float):
+    """Sparse LU of matrix - i*eps under LU_OPTIONS."""
+    n = matrix.shape[0]
+    return spla.splu((matrix - 1j * eps * sp.identity(n, format="csc")).tocsc(), **LU_OPTIONS)
 
 
 def assemble(
@@ -168,21 +175,11 @@ def solve_shifted(op: DiscreteOperator, eps: float, rhs: np.ndarray) -> np.ndarr
 # weighted norms
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightDiag:
-    """Diagonal weight (1+|x|)^-s, optionally cut to the exterior |x| >= R."""
-
-    values: np.ndarray
-    s: float
-    R: float | None = None
-
-
-def weight_diag(disc: BoxDiscretization, s: float, R: float | None = None) -> WeightDiag:
+def weight_diag(disc: BoxDiscretization, s: float, R: float | None = None) -> np.ndarray:
+    """Diagonal weight (1+|x|)^-s per node, optionally cut to the exterior |x| >= R."""
     r = disc.radii()
     vals = (1.0 + r) ** (-s)
-    if R is not None:
-        vals = np.where(r >= R, vals, 0.0)
-    return WeightDiag(values=vals, s=s, R=R)
+    return vals if R is None else np.where(r >= R, vals, 0.0)
 
 
 @dataclass(frozen=True)
@@ -193,35 +190,32 @@ class NormEstimate:
 
 
 def weighted_resolvent_norm(
-    op: DiscreteOperator,
-    eps: float,
-    w_left: WeightDiag,
-    w_right: WeightDiag,
+    lu,
+    w_left: np.ndarray,
+    w_right: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 2000,
     seed: int = 0,
 ) -> NormEstimate:
-    """Largest singular value of A = W_L (P - i eps)^-1 W_R by Lanczos on
-    the Hermitian A*A, started from a vector drawn from seed.
+    """Largest singular value of A = W_L M^-1 W_R by Lanczos on the
+    Hermitian A*A, started from a vector drawn from seed.
 
-    A is scale / solve / scale with the cached LU of P - i eps, and A* uses
-    the same LU through its trans="H" solve.  Each step is reorthogonalized
-    twice against the whole basis, which also resolves the box's
-    symmetry-degenerate top modes, and the iteration stops once the top
-    Ritz residual beta_k |s_k| is at most tol/10 times the Ritz value, or
-    on breakdown.  One more application certifies the result by the
+    lu is any factorization of a square complex M with .shape and
+    .solve(b, trans=), such as scipy's splu of P - i eps, and the diagonal
+    weights are arrays of M's size.  A is scale / solve / scale with lu,
+    and A* uses the same LU through its trans="H" solve.  Each step is
+    reorthogonalized twice against the whole basis, which also resolves
+    the box's symmetry-degenerate top modes, and the iteration stops once
+    the top Ritz residual beta_k |s_k| is at most tol/10 times the Ritz
+    value, or on breakdown.  One more application certifies the result by the
     Hermitian eigenpair residual |A*A z - lam z| <= tol * lam, which bounds
     the eigenvalue error.  iterations counts A*A applications, at most
     max_iter; past it, or past a missed certificate, PowerIterationError
     carries sqrt of the latest top Ritz value as its estimate.
     """
-    if not (eps > 0.0):
-        raise SolverError(f"eps nonpositive: {eps}")
     if not (tol > 0.0):
         raise SolverError(f"tol must be positive, got {tol}")
-    lu = op.factor(eps)
-    wl2 = w_left.values ** 2
-    wr = w_right.values
+    wl2, wr = w_left ** 2, w_right
     if not np.any(wl2) or not np.any(wr):
         return NormEstimate(value=0.0, iterations=0, residual=0.0)
     applied, rayleigh, theta = 0, 0.0, np.zeros(1)
@@ -239,7 +233,7 @@ def weighted_resolvent_norm(
         rayleigh = float(np.vdot(x, y).real / np.vdot(x, x).real)
         return y
 
-    n = op.matrix.shape[0]
+    n = lu.shape[0]
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     basis = np.empty((32, n), dtype=complex)  # rows q_0..q_k, doubled when full
@@ -269,7 +263,7 @@ def weighted_resolvent_norm(
 def dense_resolvent_norm(op, eps, w_left, w_right) -> float:
     """Dense SVD oracle for small grids."""
     A = np.linalg.inv(op.shifted(eps).toarray())
-    A = (w_left.values[:, None]) * A * (w_right.values[None, :])
+    A = w_left[:, None] * A * w_right[None, :]
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
@@ -305,16 +299,15 @@ def reflection_sectors(disc: BoxDiscretization, *fields) -> list:
             for (bx, rx), (by, ry) in pairs]
 
 
-def _sector_step(op, S, rep, row, eps, w, tol, max_iter, seed) -> tuple:
+def _sector_step(lu, S, rep, row, w, tol, max_iter, seed) -> tuple:
     """A row's (norm, applications, residual) after one more sector: largest
     norm and residual, applications summed under one max_iter budget.  On the
     orthonormal basis S/k, A is W k (P[rep] S - i eps)^-1 W / k: the
     irrational k rounds in the weights, not in the nearly singular P."""
     best, used, resid = row
     k = np.sqrt(np.diff(S.indptr))
-    wl, wr = WeightDiag(w.values[rep] * k, w.s, w.R), WeightDiag(w.values[rep] / k, w.s, w.R)
     try:
-        est = weighted_resolvent_norm(op, eps, wl, wr, tol, max_iter - used, seed)
+        est = weighted_resolvent_norm(lu, w[rep] * k, w[rep] / k, tol, max_iter - used, seed)
     except PowerIterationError as exc:
         top = max(best, exc.estimate)
         raise PowerIterationError(f"{exc} in a sector; row estimate {top:.6e}",
@@ -396,12 +389,13 @@ def sweep_h(
 
     eps_rule is a constant or a callable h -> eps.  Each h assembles one
     operator and restricts it to the reflection sectors that V and every
-    weight respect; each sector's one factorization serves every mode.  A
+    weight respect.  Each sector matrix, shifted by -i eps, is factored
+    once, and that LU goes to weighted_resolvent_norm for every mode.  A
     row's norm and residual are the largest over sectors, and iterations
-    sums them under max_iter.  The box is
-    validated once against the largest h (spacing a <= max(hs)/4); later
-    rows reuse the grid, where the points-per-wavelength count only grows
-    milder than the a <= h/4 rule.
+    sums them under max_iter.  The box is validated once against the
+    largest h (spacing a <= max(hs)/4); later rows reuse the grid, where
+    the points-per-wavelength count only grows milder than the a <= h/4
+    rule.
     """
     hs = [float(h) for h in hs]
     if not hs:
@@ -419,8 +413,9 @@ def sweep_h(
             f"resolution too coarse: spacing a = {disc.a:.4g} exceeds "
             f"max(h)/4 = {max(hs) / 4:.4g}"
         )
-    weights = {mode: weight_diag(disc, s, R if mode == "exterior" else None) for mode in modes}
-    sectors = reflection_sectors(disc, V.values, *(w.values for w in weights.values()))
+    cutoffs = {mode: R if mode == "exterior" else None for mode in modes}
+    weights = {mode: weight_diag(disc, s, cutoff) for mode, cutoff in cutoffs.items()}
+    sectors = reflection_sectors(disc, V.values, *weights.values())
     rows = []
     for h in hs:
         try:
@@ -431,13 +426,13 @@ def sweep_h(
             mats = [(P[rep] @ S).tocsc() for S, rep in sectors]
             del P  # the full box is not kept through the Lanczos runs
             found = dict.fromkeys(modes, (0.0, 0, 0.0))
-            for mat, (S, rep) in zip(mats, sectors):  # one sector LU alive at a time
-                op = DiscreteOperator(mat, h, E, disc)
+            for mat, (S, rep) in zip(mats, sectors):
+                lu = None  # one LU alive; the last lives on, and the next row reuses its pages
+                lu = factor_shifted(mat, eps)
                 for mode, w in weights.items():
-                    found[mode] = _sector_step(op, S, rep, found[mode], eps, w, tol, max_iter, seed)
-            for mode, w in weights.items():
-                norm, iterations, residual = found[mode]
-                rows.append(SweepRow(h=h, eps=eps, mode=mode, s=s, R=w.R, norm=norm,
+                    found[mode] = _sector_step(lu, S, rep, found[mode], w, tol, max_iter, seed)
+            for mode, (norm, iterations, residual) in found.items():
+                rows.append(SweepRow(h=h, eps=eps, mode=mode, s=s, R=cutoffs[mode], norm=norm,
                                      iterations=iterations, residual=residual))
         except SolverError as exc:
             raise SweepAbortedError(

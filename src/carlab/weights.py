@@ -27,7 +27,6 @@ class ProblemParams:
     E: float
     delta0: float
     s: float
-    c: float = 0.5
 
     @property
     def delta(self) -> float:
@@ -42,8 +41,6 @@ def validate_params(p: ProblemParams) -> ProblemParams:
     """
     if not (p.E > 0.0):
         raise ParameterError(f"E <= 0: energy must be positive, got {p.E}")
-    if not (p.c > 0.0):
-        raise ParameterError(f"c <= 0: envelope constant must be positive, got {p.c}")
     if not (p.delta0 < 0.5):
         raise ParameterError(f"delta0 >= 1/2: got delta0 = {p.delta0}")
     if not (p.delta0 > 0.0):

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import carlab
 from carlab.cli import main
 
 CERTIFIED = {
@@ -123,7 +126,7 @@ def test_sweep_solver_failure_exit_four(tmp_path):
     assert run(["sweep", "--config", cfg, "--out", tmp_path / "out"]) == 4
 
 
-def test_config_errors_exit_one_and_leave_nothing(tmp_path):
+def test_config_errors_exit_one_and_leave_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["weights", "--config", tmp_path / "missing.json", "--out", out]) == 1
     cfg = write_cfg(tmp_path, {"bogus": 1})
@@ -132,6 +135,28 @@ def test_config_errors_exit_one_and_leave_nothing(tmp_path):
     assert run(["sweep", "--config", cfg2, "--out", out]) == 1
     cfg3 = write_cfg(tmp_path, {"resolvent": {"hs": [0.2, 0.3]}}, "asc.json")
     assert run(["sweep", "--config", cfg3, "--out", out]) == 1
+    cfg4 = write_cfg(tmp_path, {"resolvent": {"box": 3}}, "box.json")
+    assert run(["sweep", "--config", cfg4, "--out", out]) == 1
+    assert "config section 'resolvent.box' must be an object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path", [
+    "resolvent.box.n", "resolvent.tol", "resolvent.max_iter", "resolvent.s",
+    "resolvent.eps.value", "resolvent.potential.A", "weights.r1", "verify.margin_nodes",
+])
+def test_non_numeric_leaf_exits_one(tmp_path, capsys, path):
+    # every leaf a command casts to a number is checked with the config
+    payload = json.loads(json.dumps(BASELINE_SWEEP))
+    *sections, key = path.split(".")
+    node = payload
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[key] = "x"
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", cfg, "--out", out]) == 1
+    assert f"config error: {path} must be" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -199,9 +224,13 @@ def test_no_command_exits_one(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same carlab as this process, installed or not
+    src = str(Path(carlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "carlab", "--help-config"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "seed" in proc.stdout

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from carlab import (
@@ -23,9 +24,9 @@ def test_unweighted_respects_spectral_bound(small_box):
     # with all-ones weights the estimate cannot exceed the resolvent bound 1/eps
     op = _operator(small_box, "zero", 0.25)
     ones = weight_diag(small_box, 0.0)
-    assert np.all(ones.values == 1.0)
+    assert np.all(ones == 1.0)
     eps, tol = 5e-2, 1e-8
-    est = weighted_resolvent_norm(op, eps, ones, ones, tol=tol)
+    est = weighted_resolvent_norm(op.factor(eps), ones, ones, tol=tol)
     assert est.value <= (1.0 + tol) / eps
 
 
@@ -40,12 +41,35 @@ def test_matches_dense_svd_over_random_draws(small_box, rng):
         cases.append((str(name), h, eps, params))
     for name, h, eps, params in cases:
         op = _operator(small_box, name, h, **params)
-        est = weighted_resolvent_norm(op, eps, w, w, tol=1e-9, max_iter=100, seed=11)
+        est = weighted_resolvent_norm(op.factor(eps), w, w, tol=1e-9, max_iter=100, seed=11)
         oracle = dense_resolvent_norm(op, eps, w, w)
         assert abs(est.value - oracle) / oracle <= 1e-6
         assert est.value <= (1.0 + 1e-9) / eps
         # iterations counts A*A applications, the certifying one included
         assert 1 <= est.iterations <= 100
+
+
+def test_any_lu_matches_dense_svd(small_box):
+    # the norm takes any LU, not only one of P - i eps: a complex-symmetric
+    # absorbing-frame operator P + i diag(sigma) and the Hermitian
+    # quasi-definite [[I, P], [P, -delta I]] match the dense SVD too
+    P = _operator(small_box, "trapping_ring", 0.25, A=2.0, rho=1.0, sigma=0.25).matrix
+    X, Y = small_box.mesh()
+    depth = np.maximum(abs(X), abs(Y)).ravel() / small_box.L - 0.75
+    sigma = 4.0 * np.maximum(depth, 0.0)
+    eye = sp.identity(small_box.size)
+    w = weight_diag(small_box, 0.6)
+    cases = [
+        (P + 1j * sp.diags(sigma), w),
+        (sp.bmat([[eye, P], [P, -1e-2 * eye]]), np.concatenate([w, w])),
+    ]
+    for M, wm in cases:
+        M = M.astype(complex).tocsc()
+        est = weighted_resolvent_norm(spla.splu(M, **LU_OPTIONS), wm, wm, tol=1e-9, seed=5)
+        oracle = np.linalg.svd(wm[:, None] * np.linalg.inv(M.toarray()) * wm[None, :],
+                               compute_uv=False)[0]
+        assert abs(est.value - oracle) / oracle <= 1e-6
+        assert est.residual <= 1e-9
 
 
 def test_degenerate_top_pair_matches_dense_svd(small_box):
@@ -56,15 +80,15 @@ def test_degenerate_top_pair_matches_dense_svd(small_box):
     for eps in (1e-2, 1e-6):
         sv = np.linalg.svd(np.linalg.inv(op.shifted(eps).toarray()), compute_uv=False)
         assert sv[0] - sv[1] <= 1e-12 * sv[0]
-        est = weighted_resolvent_norm(op, eps, w, w, tol=1e-9, seed=4)
+        est = weighted_resolvent_norm(op.factor(eps), w, w, tol=1e-9, seed=4)
         assert abs(est.value - sv[0]) / sv[0] <= 1e-6
 
 
 def test_exterior_weight_beyond_box_gives_zero(small_box):
     op = _operator(small_box, "zero", 0.25)
     w = weight_diag(small_box, 0.6, R=10.0 * small_box.L)
-    assert np.all(w.values == 0.0)
-    est = weighted_resolvent_norm(op, 1e-3, w, w)
+    assert np.all(w == 0.0)
+    est = weighted_resolvent_norm(op.factor(1e-3), w, w)
     assert est.value == 0.0
 
 
@@ -73,13 +97,13 @@ def test_exterior_weight_on_few_nodes_breaks_down(small_box):
     # Krylov space is exhausted: Lanczos must stop on the breakdown without
     # dividing by the vanishing beta, and still match the dense SVD
     w = weight_diag(small_box, 0.6, R=2.8)
-    nonzero = int(np.count_nonzero(w.values))
+    nonzero = int(np.count_nonzero(w))
     assert nonzero == 4
     for name, params in (("zero", {}), ("trapping_ring", {"A": 2.0, "rho": 1.0, "sigma": 0.25})):
         op = _operator(small_box, name, 0.25, **params)
         for eps in (1e-4, 1e-2):
             with np.errstate(divide="raise", invalid="raise"):
-                est = weighted_resolvent_norm(op, eps, w, w, seed=0)
+                est = weighted_resolvent_norm(op.factor(eps), w, w, seed=0)
             oracle = dense_resolvent_norm(op, eps, w, w)
             assert abs(est.value - oracle) / oracle <= 1e-6
             assert est.iterations <= nonzero + 1
@@ -115,7 +139,7 @@ def test_monotone_in_exterior_radius(small_box):
     values = []
     for R in (0.8, 1.3, 1.8):
         w = weight_diag(small_box, 0.6, R=R)
-        values.append(weighted_resolvent_norm(op, 1e-4, w, w, tol=1e-10, seed=2).value)
+        values.append(weighted_resolvent_norm(op.factor(1e-4), w, w, tol=1e-10, seed=2).value)
     assert values[0] >= values[1] - 1e-8
     assert values[1] >= values[2] - 1e-8
 
@@ -124,7 +148,7 @@ def test_max_iter_carries_estimate(small_box):
     op = _operator(small_box, "zero", 0.25)
     w = weight_diag(small_box, 0.6)
     with pytest.raises(PowerIterationError) as err:
-        weighted_resolvent_norm(op, 1e-4, w, w, tol=1e-16, max_iter=2)
+        weighted_resolvent_norm(op.factor(1e-4), w, w, tol=1e-16, max_iter=2)
     assert err.value.estimate is not None
     assert err.value.estimate > 0.0
     assert err.value.iterations == 2
@@ -140,7 +164,7 @@ def test_max_iter_estimate_is_top_ritz_value(small_box):
     assert dense == pytest.approx(15.0214, abs=1e-4)
     for max_iter in (4, 6, 8):
         with pytest.raises(PowerIterationError) as err:
-            weighted_resolvent_norm(op, 1e-4, w, w, tol=1e-16, max_iter=max_iter)
+            weighted_resolvent_norm(op.factor(1e-4), w, w, tol=1e-16, max_iter=max_iter)
         assert err.value.iterations == max_iter
         assert abs(err.value.estimate - dense) <= 1e-3
         assert err.value.estimate <= (1.0 + 1e-9) * dense
@@ -152,7 +176,7 @@ def test_zero_max_iter_applies_nothing(small_box):
     op = _operator(small_box, "zero", 0.25)
     w = weight_diag(small_box, 0.6)
     with pytest.raises(PowerIterationError) as err:
-        weighted_resolvent_norm(op, 1e-4, w, w, max_iter=0)
+        weighted_resolvent_norm(op.factor(1e-4), w, w, max_iter=0)
     assert err.value.iterations == 0
 
 
@@ -168,7 +192,7 @@ def test_eps_ladder_saturates(name, params):
     V = catalog_potential(name, 0.4, disc, E=1.0, **params)
     w = weight_diag(disc, 0.6)
     op = assemble(V, 1.0, 0.4, disc, check_resolution=False)
-    vals = np.array([weighted_resolvent_norm(op, eps, w, w, tol=1e-9, seed=3).value
+    vals = np.array([weighted_resolvent_norm(op.factor(eps), w, w, tol=1e-9, seed=3).value
                      for eps in (1e-2, 1e-4, 1e-6)])
     assert vals.max() <= 2.5 * vals.min()
 
@@ -183,6 +207,6 @@ def test_grid_convergence_at_largest_h():
         disc = BoxDiscretization(L=2.5, n=n)
         op = _operator(disc, "zero", h)
         w = weight_diag(disc, 0.6)
-        vals.append(weighted_resolvent_norm(op, eps, w, w, tol=1e-9, seed=1).value)
+        vals.append(weighted_resolvent_norm(op.factor(eps), w, w, tol=1e-9, seed=1).value)
     for coarse, fine in zip(vals, vals[1:]):
         assert abs(fine - coarse) / coarse <= 0.05

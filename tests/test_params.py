@@ -7,7 +7,6 @@ from carlab import ParameterError, ProblemParams, validate_params
 def test_baseline_accepted():
     p = validate_params(ProblemParams(E=1.0, delta0=0.4, s=0.6))
     assert p.delta == pytest.approx(0.2)
-    assert p.c == 0.5
 
 
 def test_delta0_above_half_rejected():
@@ -29,11 +28,6 @@ def test_s_half_gives_zero_delta():
 def test_nonpositive_energy_rejected(E):
     with pytest.raises(ParameterError, match="E <= 0"):
         validate_params(ProblemParams(E=E, delta0=0.4, s=0.6))
-
-
-def test_nonpositive_c_rejected():
-    with pytest.raises(ParameterError, match="c <= 0"):
-        validate_params(ProblemParams(E=1.0, delta0=0.4, s=0.6, c=0.0))
 
 
 @given(
