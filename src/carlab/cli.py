@@ -5,8 +5,10 @@ Exit code contract: 0 success, 1 usage/config, 2 construction,
 """
 
 import argparse
+import copy
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -49,120 +51,151 @@ EXIT_CONSTRUCTION = 2
 EXIT_VERIFICATION = 3
 EXIT_SOLVER = 4
 
-DEFAULT_CONFIG = {
-    "seed": 1234,
-    "problem": {"E": 1.0, "delta0": 0.4, "s": 0.6},
+# ----------------------------------------------------------------------------
+# config schema
+# ----------------------------------------------------------------------------
+
+# The config, stated once.  A leaf is (default, type, help).  The type is
+# what --help-config prints and _check reads: " | "-separated alternatives,
+# each "int" or "float" with an optional "> x" or ">= x" bound, "auto", null,
+# "str", a bare-name choice, or a check in _NAMED.  The construction code
+# makes its own domain checks (n >= 4, h > 0, the problem parameters).
+SCHEMA = {
+    "seed": (1234, "int >= 0", "rng seed for Lanczos start vectors"),
+    "problem": {
+        "E": (1.0, "float", "energy level, > 0"),
+        "delta0": (0.4, "float", "long-range decay exponent, in (0, 1/2)"),
+        "s": (0.6, "float", "weight exponent; delta = 2s - 1 in (0, delta0)"),
+    },
     "weights": {
-        "r1": "auto",
-        "search": None,
-        "h": "auto",
-        "grid": {"n_inner": 400, "n_mid": 2400, "n_outer": 800, "r_min": None, "r_max": None},
-        "substep_factor": 80.0,
-        "residual_tol": 1e-6,
+        "r1": ("auto", '"auto" | float', "continuity-exact construction at this R1;\n"
+               "auto: 1+R1 = 2 (1 + E delta0/4)^(1/delta)"),
+        "search": (None, "null | search", "if given, search R1 for certified constants:\n{"
+                   + ", ".join(f.name for f in fields(PsiSearch)) + "}"),
+        "h": ("auto", '"auto" | float', "table h; auto = h1/2"),
+        "grid": {
+            "n_inner": (400, "int >= 0", "nodes on [r_min, R0], at least 5"),
+            "n_mid": (2400, "int >= 0", "nodes on [R0, R1], at least 5"),
+            "n_outer": (800, "int >= 0", "nodes on [R1, r_max], at least 5"),
+            "r_min": (None, "null | float", "in (0, R0); null = min(1e-4, R0/64)"),
+            "r_max": (None, "null | float", "at least 2 R1; null = 2 R1"),
+        },
+        "substep_factor": (80.0, "float > 0", "RK4 substep bound h/substep_factor"),
+        "residual_tol": (1e-6, "float", "Riccati residual gate"),
     },
     "verify": {
-        "tolerance": 1e-12,
-        "margin_nodes": 10000,
-        "x0": "auto",
-        "box": {"half_width": "auto", "n": 65},
-        "e4_h_count": 8,
+        "tolerance": (1e-12, "float", "margin acceptance threshold"),
+        "margin_nodes": (10000, "int", "nodes of the profile-inequality scan"),
+        "x0": ("auto", '"auto" | [x, y]', "shift; auto = (2^(1/(1+delta0)) - 1, 0)"),
+        "box": {
+            "half_width": ("auto", '"auto" | float', "shift/gluing grid; auto = 2 (R1 + 1)"),
+            "n": (65, "int", "nodes per axis, at least 4"),
+        },
+        "e4_h_count": (8, "int >= 1", "dyadic h values in (0, h1] for the E/4 check"),
     },
     "resolvent": {
-        "box": {"half_width": 2.5, "n": 64},
-        "potential": {"id": "trapping_ring", "c": 1.0, "A": 2.0, "rho": 1.0, "sigma": 0.25},
-        "hs": [0.4, 0.3, 0.22, 0.16, 0.12],
-        "eps": {"rule": "h_over", "value": 4.0},
-        "s": 0.6,
-        "modes": ["interior", "exterior"],
-        "R": "auto",
-        "tol": 1e-8,
-        "max_iter": 2000,
+        "box": {
+            "half_width": (2.5, "float", "Dirichlet box [-L, L]^2, L > 0"),
+            "n": (64, "int", "nodes per axis, at least 4"),
+        },
+        "potential": {
+            "id": ("trapping_ring", "zero | radial_decay | trapping_ring", ""),
+            "c": (1.0, "float", "radial_decay amplitude"),
+            "A": (2.0, "float", "trapping_ring barrier height, > E"),
+            "rho": (1.0, "float", "trapping_ring radius, > 0"),
+            "sigma": (0.25, "float", "trapping_ring width, > 0"),
+        },
+        "hs": ([0.4, 0.3, 0.22, 0.16, 0.12], "hs", "sweep h values, > 0, strictly descending"),
+        "eps": {
+            "rule": ("h_over", "constant | h_over", "eps = value, or eps = h/value"),
+            "value": (4.0, "float > 0", ""),
+        },
+        "s": (0.6, "float", "weight exponent of the sweep"),
+        "modes": (["interior", "exterior"], "modes", "interior and/or exterior, no repeats"),
+        "R": ("auto", '"auto" | float > 0', "exterior cutoff; auto = rho + 3 sigma for the\n"
+              "ring potential, 1.0 otherwise"),
+        "tol": (1e-8, "float", "Lanczos eigenpair residual certificate"),
+        "max_iter": (2000, "int", "cap on a row's A*A applications, all sectors"),
     },
-    "output": {"dir": "out"},
+    "output": {"dir": ("out", "str", "artifact directory")},
+}
+_SEARCH_SCHEMA = {f.name: (f.default, f.type.__name__, "") for f in fields(PsiSearch)}
+
+
+def _each(items, kind, path) -> bool:
+    for i, item in enumerate(items):
+        _check(item, kind, f"{path}[{i}]")
+    return True
+
+
+# non-scalar leaves: False for the wrong shape, ConfigError for a bad entry
+_NAMED = {
+    "hs": lambda v, path: isinstance(v, list) and v != [] and _each(v, "float > 0", path)
+        and all(b < a for a, b in zip(v, v[1:])),
+    "modes": lambda v, path: isinstance(v, list) and v != []
+        and _each(v, "interior | exterior", path) and len(set(v)) == len(v),
+    "[x, y]": lambda v, path: isinstance(v, list) and len(v) == 2 and _each(v, "float", path),
+    "search": lambda v, path: isinstance(v, dict) and bool(_merge(_SEARCH_SCHEMA, v, path + ".")),
 }
 
-HELP_CONFIG = """\
-Configuration file (JSON). Unknown keys are rejected; omitted keys take the
-defaults shown. Every run with the same config and seed writes byte-identical
-artifacts.
 
-seed: int                       rng seed for Lanczos start vectors
-problem:
-  E: float > 0                  energy level
-  delta0: float in (0, 1/2)     long-range decay exponent
-  s: float > 1/2                weight exponent; delta = 2s - 1 must be < delta0
-weights:
-  r1: "auto" | float            continuity-exact construction at this R1;
-                                auto uses 1+R1 = 2 (1 + E delta0/4)^(1/delta)
-  search: null | {r1_lo, r1_hi, num_r1, margin_nodes, span}
-                                if given, run the certified constant search
-                                instead of the fixed-R1 construction
-  h: "auto" | float             table h; auto = h1/2
-  grid: {n_inner, n_mid, n_outer, r_min, r_max}
-  substep_factor: float         RK4 substep bound h/substep_factor
-  residual_tol: float           Riccati residual gate
-verify:
-  tolerance: float              margin acceptance threshold
-  margin_nodes: int             nodes of the profile-inequality scan
-  x0: "auto" | [x, y]           shift; auto = (2^(1/(1+delta0)) - 1, 0)
-  box: {half_width: "auto" | float, n}   2D grid for shift/gluing checks;
-                                auto half_width = 2 (R1 + 1)
-  e4_h_count: int               dyadic h values in (0, h1] for the E/4 check
-resolvent:
-  box: {half_width, n}
-  potential: {id: zero | radial_decay | trapping_ring, c, A, rho, sigma}
-  hs: descending floats         sweep values of h
-  eps: {rule: constant | h_over, value}   eps = value, or h/value (default h/4)
-  s: float                      weight exponent of the sweep
-  modes: ["interior", "exterior"]  nonempty, no mode repeated
-  R: "auto" | float             exterior cutoff; auto = rho + 3 sigma for the
-                                ring potential, 1.0 otherwise
-  tol: float                    Lanczos eigenpair residual certificate
-  max_iter: int                 cap on a row's A*A applications, all sectors
-output:
-  dir: str                      artifact directory
-"""
+def _check(value, kind: str, path: str):
+    for alt in kind.split(" | "):
+        name, *bound = alt.split(" ")
+        if alt in _NAMED:
+            ok = _NAMED[alt](value, path)
+        elif name in ("int", "float"):  # nan % 1 and inf % 1 are nan, so not whole
+            ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
+                and not (name == "int" and value % 1) \
+                and (not bound or (value > float(bound[1]) if bound[0] == ">"
+                                   else value >= float(bound[1])))
+        elif alt == "str":
+            ok = isinstance(value, str)
+        else:  # "auto", null or a bare-name choice
+            ok = value == (json.loads(alt) if alt in ('"auto"', "null") else alt)
+        if ok:
+            return
+    raise ConfigError(f"{path} must be {kind}, got {value!r} (see carlab --help-config)")
 
 
-# ----------------------------------------------------------------------------
-# config plumbing
-# ----------------------------------------------------------------------------
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _merge(defaults, given, path=""):
-    """Fill defaults recursively and reject unknown keys.  A leaf whose
-    default is a number must hold a number, a whole one if the default is
-    an int; one whose default is "auto" or null may also keep that.  The
-    commands cast these leaves with float() or int().  x0 and search hold
-    a list and an object instead, which _validate_config checks."""
+def _merge(schema, given, path=""):
+    """A fresh config of given's leaves, else the defaults, each type-checked."""
     if not isinstance(given, dict):
         raise ConfigError(f"config section '{path[:-1] or '<root>'}' must be an object")
-    unknown = set(given) - set(defaults)
+    unknown = set(given) - set(schema)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(path + k for k in unknown)}")
-    out = dict(defaults)
-    for key, value in given.items():
-        default, name = defaults[key], path + key
-        if isinstance(default, dict):
-            value = _merge(default, value, name + ".")
-        elif (_is_number(default) or default in ("auto", None) and value != default
-              and name not in ("weights.search", "verify.x0")):
-            whole = isinstance(default, int)
-            if not _is_number(value) or whole and value % 1:  # nan % 1 and inf % 1 are nan
-                alt = "" if _is_number(default) else f" or {json.dumps(default)}"
-                kind = "an integer" if whole else "a number"
-                raise ConfigError(f"{name} must be {kind}{alt}, got {value!r}")
-        out[key] = value
+    out = {}
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            out[key] = _merge(spec, given.get(key, {}), f"{path}{key}.")
+        else:
+            out[key] = copy.deepcopy(given.get(key, spec[0]))
+            _check(out[key], spec[1], path + key)
     return out
 
 
+def _help(schema, indent=""):
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            yield f"{indent}{key}:"
+            yield from _help(spec, indent + "  ")
+        else:
+            text = spec[2].replace("\n", "\n" + " " * 34)
+            yield f"{f'{indent}{key}: {spec[1]}':<33} {text}".rstrip()
+
+
+DEFAULT_CONFIG = _merge(SCHEMA, {})
+HELP_CONFIG = "\n".join([
+    "Configuration file (JSON). Omitted keys take the defaults; unknown keys, and",
+    "leaves not of their type, exit 1. Every run with the same config and seed",
+    "writes byte-identical artifacts.", "", *_help(SCHEMA), ""])
+
+
 def load_config(path: str | None, overrides=None) -> dict:
-    if path is None:
-        given = {}
-    else:
+    """The config at path, or the defaults, with top-level overrides, checked once."""
+    given = {}
+    if path is not None:
         try:
             with open(path) as f:
                 given = json.load(f)
@@ -170,68 +203,20 @@ def load_config(path: str | None, overrides=None) -> dict:
             raise ConfigError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    cfg = _merge(DEFAULT_CONFIG, given)
-    for key, value in (overrides or {}).items():
-        section = cfg
-        parts = key.split(".")
-        for p in parts[:-1]:
-            section = section[p]
-        section[parts[-1]] = value
-    _validate_config(cfg)
-    return cfg
-
-
-def _validate_config(cfg: dict):
-    search = cfg["weights"]["search"]
-    if search is not None and not (isinstance(search, dict)
-                                   and all(map(_is_number, search.values()))):
-        raise ConfigError("weights.search must be null or an object of numbers")
-    hs = cfg["resolvent"]["hs"]
-    if not isinstance(hs, list) or not all(map(_is_number, hs)):
-        raise ConfigError("resolvent.hs must be a list of numbers")
-    if len(hs) == 0:
-        raise ConfigError("no sweep points")
-    if any(b >= a for a, b in zip(hs, hs[1:])):
-        raise ConfigError("resolvent.hs must be strictly descending")
-    eps = cfg["resolvent"]["eps"]
-    if eps["rule"] not in ("constant", "h_over"):
-        raise ConfigError(f"unknown eps rule '{eps['rule']}'")
-    if not (eps["value"] > 0.0):
-        raise ConfigError("eps value must be positive")
-    modes = cfg["resolvent"]["modes"]
-    if not isinstance(modes, list):
-        raise ConfigError("resolvent.modes must be a list")
-    for mode in modes:
-        if mode not in ("interior", "exterior"):
-            raise ConfigError(f"unknown sweep mode '{mode}'")
-    if not modes or len(set(modes)) != len(modes):
-        raise ConfigError(f"resolvent.modes must be nonempty without repeats, got {modes}")
-    R = cfg["resolvent"]["R"]
-    if R != "auto" and not R > 0.0:
-        raise ConfigError(f"resolvent.R must be \"auto\" or a positive number, got {R!r}")
-    pot = cfg["resolvent"]["potential"]
-    if pot["id"] not in ("zero", "radial_decay", "trapping_ring"):
-        raise ConfigError(f"unknown potential id '{pot['id']}'")
-    x0 = cfg["verify"]["x0"]
-    if x0 != "auto" and not (isinstance(x0, list) and len(x0) == 2 and all(map(_is_number, x0))):
-        raise ConfigError("verify.x0 must be \"auto\" or [x, y]")
+    if isinstance(given, dict):
+        given = {**given, **(overrides or {})}
+    return _merge(SCHEMA, given)
 
 
 def _params(cfg) -> ProblemParams:
-    prob = cfg["problem"]
-    return validate_params(
-        ProblemParams(E=float(prob["E"]), delta0=float(prob["delta0"]), s=float(prob["s"]))
-    )
+    return validate_params(ProblemParams(**{k: float(v) for k, v in cfg["problem"].items()}))
 
 
 def _spec(cfg, p: ProblemParams) -> PsiSpec:
     wcfg = cfg["weights"]
-    if wcfg["search"] is not None:
-        try:
-            search = PsiSearch(**dict(wcfg["search"]))
-        except TypeError as exc:
-            raise ConfigError(f"bad weights.search keys: {exc}") from exc
-        return find_psi_constants(p, search)
+    if (search := wcfg["search"]) is not None:
+        return find_psi_constants(p, PsiSearch(**{f.name: f.type(search[f.name])
+                                                   for f in fields(PsiSearch) if f.name in search}))
     r1 = wcfg["r1"]
     r1 = default_r1(p) if r1 == "auto" else float(r1)
     return PsiSpec.from_continuity(p, r1)
@@ -382,9 +367,7 @@ def cmd_sweep(cfg, out: Path, assert_fits: bool = False) -> int:
     disc = BoxDiscretization(L=float(rcfg["box"]["half_width"]), n=int(rcfg["box"]["n"]))
     pot = dict(rcfg["potential"])
     pot_id = pot.pop("id")
-    c = float(pot.pop("c", 1.0))
-    V = catalog_potential(pot_id, p.delta0, disc, c=c, E=p.E,
-                          **{k: float(v) for k, v in pot.items()})
+    V = catalog_potential(pot_id, p.delta0, disc, E=p.E, **{k: float(v) for k, v in pot.items()})
     eps_cfg = rcfg["eps"]
     if eps_cfg["rule"] == "constant":
         eps_rule = float(eps_cfg["value"])
@@ -392,8 +375,7 @@ def cmd_sweep(cfg, out: Path, assert_fits: bool = False) -> int:
         eps_rule = lambda h, v=float(eps_cfg["value"]): h / v  # noqa: E731
     R = rcfg["R"]
     if R == "auto":
-        R = float(pot.get("rho", 0.0)) + 3.0 * float(pot.get("sigma", 0.0)) \
-            if pot_id == "trapping_ring" else 1.0
+        R = float(pot["rho"]) + 3.0 * float(pot["sigma"]) if pot_id == "trapping_ring" else 1.0
     results = sweep_h(
         V, p.E, float(rcfg["s"]), [float(h) for h in rcfg["hs"]],
         eps_rule=eps_rule, modes=rcfg["modes"], disc=disc,
@@ -492,10 +474,8 @@ def main(argv=None) -> int:
         ap.print_help()
         return EXIT_CONFIG
     try:
-        overrides = {}
-        if getattr(args, "seed", None) is not None:
-            overrides["seed"] = args.seed
-        cfg = load_config(args.config, overrides)
+        seed = getattr(args, "seed", None)
+        cfg = load_config(args.config, {} if seed is None else {"seed": seed})
         out = Path(args.out) if args.out else Path(cfg["output"]["dir"])
         if args.command == "weights":
             return cmd_weights(cfg, out)

@@ -97,9 +97,12 @@ class DiscreteOperator:
 
 
 def factor_shifted(matrix: sp.csc_matrix, eps: float):
-    """Sparse LU of matrix - i*eps under LU_OPTIONS."""
+    """Sparse LU of matrix - i*eps under LU_OPTIONS; SolverError if singular."""
     n = matrix.shape[0]
-    return spla.splu((matrix - 1j * eps * sp.identity(n, format="csc")).tocsc(), **LU_OPTIONS)
+    try:
+        return spla.splu((matrix - 1j * eps * sp.identity(n, format="csc")).tocsc(), **LU_OPTIONS)
+    except RuntimeError as exc:  # "Factor is exactly singular", e.g. on overflowed entries
+        raise SolverError(f"factorization failed: {exc}") from exc
 
 
 def assemble(
@@ -157,10 +160,7 @@ def solve_shifted(op: DiscreteOperator, eps: float, rhs: np.ndarray) -> np.ndarr
     nrm = np.linalg.norm(rhs)
     if nrm == 0.0:
         return np.zeros_like(rhs)
-    try:
-        lu = op.factor(eps)
-    except RuntimeError as exc:  # pragma: no cover - eps > 0 keeps this invertible
-        raise SolverError(f"factorization failed: {exc}") from exc
+    lu = op.factor(eps)
     z = lu.solve(rhs)
     resid = np.linalg.norm(apply_shifted(op, eps, z) - rhs) / nrm
     if resid > SOLVE_RESIDUAL_TOL:
@@ -254,7 +254,8 @@ def weighted_resolvent_norm(
     z = s[:, 0] @ basis[:k + 1]
     z = z / np.linalg.norm(z)
     y = apply_gram(z)
-    rel = float(np.linalg.norm(y - rayleigh * z)) / rayleigh
+    # a quotient that underflowed to 0 certifies nothing
+    rel = float(np.linalg.norm(y - rayleigh * z)) / rayleigh if rayleigh > 0.0 else math.inf
     if not rel <= tol:
         raise failed(f"eigenpair residual {rel:.2e} above tol {tol:.1e}")
     return NormEstimate(value=math.sqrt(rayleigh), iterations=applied, residual=rel)

@@ -253,6 +253,8 @@ def find_psi_constants(p: ProblemParams, search: PsiSearch = PsiSearch()) -> Psi
         raise ConstructionError(
             f"bad R1 range [{search.r1_lo}, {search.r1_hi}]"
         )
+    if search.num_r1 < 0 or not search.span > 0.0:
+        raise ConstructionError(f"bad search: num_r1 = {search.num_r1}, span = {search.span}")
     best = -np.inf
     for r1 in np.geomspace(search.r1_lo, search.r1_hi, search.num_r1):
         spec = PsiSpec.from_continuity(p, r1)

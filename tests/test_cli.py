@@ -1,13 +1,16 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import carlab
-from carlab.cli import main
+from carlab.cli import DEFAULT_CONFIG, load_config, main
+from carlab.weights import PsiSearch
 
 CERTIFIED = {
     "problem": {"E": 8.0, "delta0": 0.45, "s": 0.55},
@@ -40,6 +43,17 @@ def write_cfg(tmp_path, payload, name="cfg.json"):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def with_leaf(payload, path, value):
+    """A copy of payload with the dotted path set to value."""
+    payload = json.loads(json.dumps(payload))
+    *sections, key = path.split(".")
+    node = payload
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return payload
 
 
 def test_weights_baseline_exit_zero(tmp_path):
@@ -126,6 +140,17 @@ def test_sweep_solver_failure_exit_four(tmp_path):
     assert run(["sweep", "--config", cfg, "--out", tmp_path / "out"]) == 4
 
 
+@pytest.mark.parametrize("resolvent", [
+    {"hs": [1e308]},  # h^2 overflows: the LU is exactly singular
+    {"eps": {"rule": "h_over", "value": 1e-300}},  # the Rayleigh quotient underflows to 0
+])
+def test_overflowing_sweep_exits_four(tmp_path, resolvent):
+    payload = json.loads(json.dumps(BASELINE_SWEEP))
+    payload["resolvent"].update(resolvent)
+    cfg = write_cfg(tmp_path, payload)
+    assert run(["sweep", "--config", cfg, "--out", tmp_path / "out"]) == 4
+
+
 def test_config_errors_exit_one_and_leave_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["weights", "--config", tmp_path / "missing.json", "--out", out]) == 1
@@ -147,17 +172,63 @@ def test_config_errors_exit_one_and_leave_nothing(tmp_path, capsys):
 ])
 def test_non_numeric_leaf_exits_one(tmp_path, capsys, path):
     # every leaf a command casts to a number is checked with the config
-    payload = json.loads(json.dumps(BASELINE_SWEEP))
-    *sections, key = path.split(".")
-    node = payload
-    for name in sections:
-        node = node.setdefault(name, {})
-    node[key] = "x"
-    cfg = write_cfg(tmp_path, payload)
+    cfg = write_cfg(tmp_path, with_leaf(BASELINE_SWEEP, path, "x"))
     out = tmp_path / "out"
     assert run(["sweep", "--config", cfg, "--out", out]) == 1
     assert f"config error: {path} must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, path, value, bad", [
+    ("weights", "weights.substep_factor", 0, "weights.substep_factor"),
+    ("weights", "weights.substep_factor", -80.0, "weights.substep_factor"),
+    ("weights", "weights.grid.n_outer", -1, "weights.grid.n_outer"),
+    ("weights", "weights.search", {"num_r1": 2.5}, "weights.search.num_r1"),
+    ("verify", "verify.e4_h_count", 0, "verify.e4_h_count"),
+    ("verify", "verify.e4_h_count", -2, "verify.e4_h_count"),
+    ("sweep", "resolvent.hs", [0.4, -0.1], "resolvent.hs[1]"),
+    ("sweep", "resolvent.hs", [0.0], "resolvent.hs[0]"),
+])
+def test_out_of_range_leaf_exits_one(tmp_path, capsys, command, path, value, bad):
+    # each of these once ended in a traceback, or in a run with nonsense
+    cfg = write_cfg(tmp_path, with_leaf(BASELINE_SWEEP, path, value))
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 1
+    assert f"config error: {bad} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, extra, message", [
+    (["report"], {"output": {"dir": 5}}, "output.dir must be str"),
+    (["sweep"], {"output": {"dir": 5}}, "output.dir must be str"),
+    (["sweep", "--seed", "-1"], {}, "seed must be int >= 0"),
+])
+def test_output_dir_and_seed_override_are_checked(tmp_path, monkeypatch, capsys,
+                                                  argv, extra, message):
+    # output.dir is only read without --out; --seed passes the config's checks
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, {**BASELINE_SWEEP, **extra})
+    assert run([*argv, "--config", cfg]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+def test_load_config_returns_fresh_dicts():
+    before = json.dumps(DEFAULT_CONFIG, sort_keys=True)
+    cfg = load_config(None)
+    cfg["resolvent"]["hs"].append(0.1)
+    cfg["resolvent"]["box"]["n"] = 8
+    assert json.dumps(DEFAULT_CONFIG, sort_keys=True) == before
+
+
+def test_shipped_and_readme_configs_load(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    for path in sorted((root / "configs").glob("*.json")):
+        assert load_config(str(path))["problem"] == json.loads(path.read_text())["problem"]
+    readme = (root / "README.md").read_text()
+    minimal = json.loads(readme.split("A minimal config")[1].split("```json\n")[1].split("```")[0])
+    cfg = load_config(write_cfg(tmp_path, minimal))
+    assert cfg["resolvent"]["hs"] == minimal["resolvent"]["hs"]
 
 
 @pytest.mark.parametrize("modes", [[], ["interior", "interior"], 3])
@@ -217,6 +288,24 @@ def test_help_config_prints_schema(capsys):
     text = capsys.readouterr().out
     assert "problem:" in text
     assert "resolvent:" in text
+
+
+def test_help_config_names_every_leaf(capsys):
+    # the help is generated from the schema, so it cannot drift from the defaults
+    assert main(["--help-config"]) == 0
+    text = capsys.readouterr().out
+    named, stack = set(), []
+    for indent, key in re.findall(r"^( {0,8})(\w+):", text, re.M):
+        stack[len(indent) // 2:] = [key]
+        named.add(".".join(stack))
+
+    def leaves(node, path=""):
+        for key, value in node.items():
+            yield from leaves(value, f"{path}{key}.") if isinstance(value, dict) else [path + key]
+
+    assert set(leaves(DEFAULT_CONFIG)) <= named
+    for field in fields(PsiSearch):
+        assert field.name in text
 
 
 def test_no_command_exits_one(capsys):

@@ -132,6 +132,13 @@ def test_degenerate_r1_range_errors(baseline_params, baseline_spec):
         find_psi_constants(baseline_params, PsiSearch(r1_lo=lo, r1_hi=hi, num_r1=16, margin_nodes=500))
 
 
+@pytest.mark.parametrize("bad", [{"num_r1": -1}, {"span": 0.0}])
+def test_bad_search_settings_error(baseline_params, bad):
+    # both once raised numpy's ValueError from geomspace
+    with pytest.raises(ConstructionError, match="bad search"):
+        find_psi_constants(baseline_params, PsiSearch(**bad))
+
+
 def test_from_continuity_rejects_bad_r1(baseline_params):
     with pytest.raises(ConstructionError):
         PsiSpec.from_continuity(baseline_params, -1.0)
