@@ -20,7 +20,7 @@ from .resolvent import (
     SweepResult,
     assemble,
     dense_resolvent_norm,
-    solve_shifted,
+    factor_shifted,
     sweep_h,
     weight_diag,
     weighted_resolvent_norm,
@@ -58,7 +58,6 @@ from .weights import (
     find_psi_constants,
     radial_grid,
     solve_phi_riccati,
-    solve_riccati_constant,
     validate_params,
 )
 

@@ -10,23 +10,6 @@ from itertools import islice
 
 import numpy as np
 
-# profile selectors for the psi evaluation (see the kernel docstring)
-PSI_PIECEWISE = 0
-PSI_CONSTANT = 1
-PSI_ZERO = 2
-
-
-def _psi(x, kind, a0, a1, a2, a3, a4, a5):
-    out = np.zeros_like(x)
-    if kind == PSI_PIECEWISE:
-        out[x <= a1] = a4
-        mid = (x > a1) & (x < a2)
-        out[mid] = a0 / (1.0 - (1.0 + x[mid]) ** (-a3)) - a5
-    elif kind == PSI_CONSTANT:
-        out[x <= a1] = a0
-    return out
-
-
 def _abscissae(start, dt, m):
     """Substep ends and midpoints of every span, in integration order.
 
@@ -49,19 +32,14 @@ def _abscissae(start, dt, m):
     return ends, mids
 
 
-def riccati_backward(r, h, substep, kind, a0, a1, a2, a3, a4, a5):
+def riccati_backward(r, h, substep, psi):
     """Integrate u' = (u^2 - psi(r))/h backward from u(r[-1]) = 0.
 
     r must be strictly increasing; substep bounds the internal RK4 step, so
     the span r[i-1]..r[i] takes max(1, ceil(span/substep)) equal steps.
-    The profile psi is evaluated from its parameters so substep abscissae
-    see exact values, never interpolants:
-
-      kind 0 (piecewise): a0=B, a1=R0, a2=R1, a3=delta, a4=plateau, a5=E/4
-                          psi = plateau on [0,R0], B/(1-(1+r)^-delta) - E/4
-                          on (R0,R1), 0 beyond R1
-      kind 1 (constant):  a0=k, a1=R: psi = k on [0,R], 0 beyond
-      kind 2 (zero)
+    psi maps a float array of radii to the array of profile values; it is
+    called once on all substep ends and once on all midpoints, so substep
+    abscissae see exact values, never interpolants.
 
     Returns u sampled at the nodes of r.
     """
@@ -70,8 +48,7 @@ def riccati_backward(r, h, substep, kind, a0, a1, a2, a3, a4, a5):
     span = start - r[-2::-1]
     m = np.maximum(np.ceil(span / substep), 1.0).astype(np.intp)
     dt = -span / m
-    p_end, p_mid = (_psi(x, kind, a0, a1, a2, a3, a4, a5).tolist()
-                    for x in _abscissae(start, dt, m))
+    p_end, p_mid = (psi(x).tolist() for x in _abscissae(start, dt, m))
     out = []
     uu = 0.0
     ends_it, mids_it = iter(p_end), iter(p_mid)

@@ -1,8 +1,8 @@
-"""Discretized operator, shifted solves, weighted norms, and h-sweeps.
+"""Discretized operator, its shifted LU, weighted norms, and h-sweeps.
 
 P = -h^2 Lap + V - E on a truncated box with homogeneous Dirichlet walls,
-5-point stencil.  The -i*eps shift is applied at solve time; one LU of
-P - i*eps is cached per (operator, eps) and serves every right-hand side.
+5-point stencil.  The -i*eps shift is applied at factorization time by
+factor_shifted, and one LU of P - i*eps serves every right-hand side.
 The weighted norm takes any LU: sweeps factor one quarter-box matrix per
 reflection sector of the box and hand that LU to every mode and, as its
 trans="H" solve, to the Lanczos norm's adjoint.
@@ -10,7 +10,7 @@ trans="H" solve, to the Lanczos norm's adjoint.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +25,6 @@ from .errors import (
 )
 from .potentials import PotentialSample
 
-SOLVE_RESIDUAL_TOL = 1e-10
 # Symmetric minimum degree suits the 5-point grid.  Pivoting only below 1%
 # of a column keeps that structure where P is indefinite: at E = 8, h = 0.12,
 # n = 64 full partial pivoting swaps rows and leaves 4.4M LU nonzeros, not 127k.
@@ -75,25 +74,16 @@ class BoxDiscretization:
         return self.a * self.a
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscreteOperator:
-    """Sparse symmetric real part of P; shift applied at solve time."""
+    """Sparse symmetric real part of P; factor_shifted(matrix, eps) applies the shift."""
 
     matrix: sp.csc_matrix
     h: float
-    E: float
     disc: BoxDiscretization
-    _factor_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def shifted(self, eps: float) -> sp.csc_matrix:
         return (self.matrix - 1j * eps * sp.identity(self.matrix.shape[0], format="csc")).tocsc()
-
-    def factor(self, eps: float):
-        """LU factorization of P - i*eps, cached per eps."""
-        key = float(eps)
-        if key not in self._factor_cache:
-            self._factor_cache[key] = factor_shifted(self.matrix, eps)
-        return self._factor_cache[key]
 
 
 def factor_shifted(matrix: sp.csc_matrix, eps: float):
@@ -139,36 +129,12 @@ def assemble(
     eye = sp.identity(n, format="csr")
     lap = sp.kron(lap1, eye) + sp.kron(eye, lap1)
     mat = (h * h * lap + sp.diags(v - E)).tocsc()
-    return DiscreteOperator(matrix=mat, h=h, E=E, disc=disc)
+    return DiscreteOperator(matrix=mat, h=h, disc=disc)
 
 
 def apply_shifted(op: DiscreteOperator, eps: float, v: np.ndarray) -> np.ndarray:
     """(P - i*eps) v without factorization."""
     return op.matrix @ v - 1j * eps * v
-
-
-def solve_shifted(op: DiscreteOperator, eps: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (P - i*eps) z = rhs by the cached direct factorization.
-
-    P is real symmetric, so P - i*eps is invertible for eps > 0.  Relative
-    residual above 1e-10 triggers one step of iterative refinement, then an
-    error.
-    """
-    if not (eps > 0.0):
-        raise SolverError(f"eps nonpositive: {eps}")
-    rhs = np.asarray(rhs, dtype=complex)
-    nrm = np.linalg.norm(rhs)
-    if nrm == 0.0:
-        return np.zeros_like(rhs)
-    lu = op.factor(eps)
-    z = lu.solve(rhs)
-    resid = np.linalg.norm(apply_shifted(op, eps, z) - rhs) / nrm
-    if resid > SOLVE_RESIDUAL_TOL:
-        z = z + lu.solve(rhs - apply_shifted(op, eps, z))
-        resid = np.linalg.norm(apply_shifted(op, eps, z) - rhs) / nrm
-        if resid > SOLVE_RESIDUAL_TOL:
-            raise SolverError(f"residual above tolerance after refinement: {resid:.3e}")
-    return z
 
 
 # ----------------------------------------------------------------------------

@@ -6,12 +6,12 @@ matching constant c0, the polynomial weight m, and the thresholds h1 and
 C0 = 2 max phi. Everything here is a pure function of its inputs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CertificationError, ConstructionError, ParameterError
-from .kernels import PSI_CONSTANT, PSI_PIECEWISE, riccati_backward
+from .kernels import riccati_backward
 
 CONTINUITY_TOL = 1e-10
 
@@ -116,7 +116,13 @@ def default_r1(p: ProblemParams) -> float:
     1+R1 = 2*rho_lim keeps the middle region proportionate at any scale.
     """
     validate_params(p)
-    rho_lim = (1.0 + p.E * p.delta0 / 4.0) ** (1.0 / p.delta)
+    try:
+        rho_lim = (1.0 + p.E * p.delta0 / 4.0) ** (1.0 / p.delta)
+    except OverflowError:
+        raise ConstructionError(
+            f"default R1 overflows: (1 + E delta0/4)^(1/delta) is beyond the float "
+            f"range at E = {p.E}, delta0 = {p.delta0}, delta = {p.delta}"
+        ) from None
     return 2.0 * rho_lim - 1.0
 
 
@@ -475,8 +481,7 @@ def solve_phi_riccati(
     r_ext = np.concatenate([[0.0], r])
     u_ext = np.zeros(r_ext.size)
     u_ext[: grid.i_r1 + 2] = riccati_backward(
-        r_ext[: grid.i_r1 + 2], h, substep, PSI_PIECEWISE,
-        spec.B, spec.R0, spec.R1, spec.delta, spec.plateau, spec.E / 4.0,
+        r_ext[: grid.i_r1 + 2], h, substep, lambda x: eval_psi(spec, x)
     )
     u0 = float(u_ext[0])
     u = u_ext[1:]
@@ -521,18 +526,6 @@ def _lagrange5_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d
 
 
-def solve_riccati_constant(
-    k: float, R: float, h: float, r_nodes: np.ndarray, substep_factor: float = 80.0
-) -> np.ndarray:
-    """Backward solve for the constant profile psi = k on [0, R], 0 beyond.
-
-    The closed form is u(r) = sqrt(k) tanh(sqrt(k)(R - r)/h); this entry
-    point exists so the integrator can be checked against it.
-    """
-    r = np.asarray(r_nodes, dtype=float)
-    return riccati_backward(r, h, h / substep_factor, PSI_CONSTANT, k, R, 0.0, 0.0, 0.0, 0.0)
-
-
 def riccati_residual(spec: PsiSpec, grid: RadialGrid, h: float, u: np.ndarray) -> float:
     """Sup of |u^2 - h u' - psi| with u' from 5-point stencils per smooth piece.
 
@@ -573,7 +566,6 @@ class WeightTables:
     u0: float
     riccati_resid: float
     wprime_jump: float
-    extras: dict = field(default_factory=dict, compare=False)
 
     @property
     def max_phi(self) -> float:

@@ -30,10 +30,10 @@ from carlab import (
     combined_estimate_test,
     dense_resolvent_norm,
     effective_potential,
+    factor_shifted,
     find_psi_constants,
     gluing_constants,
     shift_radius_bound,
-    solve_riccati_constant,
     sweep_h,
     validate_params,
     verify_E4_inequality,
@@ -44,6 +44,7 @@ from carlab import (
     weighted_resolvent_norm,
 )
 from carlab.cli import main as cli_main
+from carlab.kernels import riccati_backward
 from carlab.weights import continuity_residuals, margin_scan_nodes, psi_inequality_margin
 
 from conftest import COMBOS, combo_params
@@ -125,7 +126,7 @@ def test_criterion_2_riccati_oracle(combo_tables):
     r = np.linspace(0.0, R, 1500)
     worst_tanh = 0.0
     for h in (0.05, 0.1, 0.2):
-        u = solve_riccati_constant(k, R, h, r)
+        u = riccati_backward(r, h, h / 80.0, lambda x: np.where(x <= R, k, 0.0))
         exact = np.sqrt(k) * np.tanh(np.sqrt(k) * (R - r) / h)
         worst_tanh = max(worst_tanh, np.abs(u - exact).max() / exact.max())
     worst_resid = max(wt.riccati_resid for wt in combo_tables.values())
@@ -246,7 +247,7 @@ def test_criterion_7_norm_oracle(small_box, rng):
         V = catalog_potential(name, 0.4, small_box, E=1.0, **params)
         op = assemble(V, 1.0, h, small_box, check_resolution=False)
         tol = 1e-9
-        est = weighted_resolvent_norm(op.factor(eps), w, w, tol=tol, seed=11)
+        est = weighted_resolvent_norm(factor_shifted(op.matrix, eps), w, w, tol=tol, seed=11)
         oracle = dense_resolvent_norm(op, eps, w, w)
         worst_rel = max(worst_rel, abs(est.value - oracle) / oracle)
         bound_ok = bound_ok and est.value <= (1.0 + tol) / eps

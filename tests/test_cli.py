@@ -271,6 +271,18 @@ def test_invalid_params_exit_two_and_leave_nothing(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["weights", "verify"])
+def test_overflowing_default_r1_exits_two(tmp_path, capsys, command):
+    # (1 + E delta0/4)^(1/delta) leaves the float range; this once ended in
+    # a raw OverflowError traceback
+    cfg = write_cfg(tmp_path, {"problem": {"E": 1e300}})
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "default R1 overflows" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_report_aggregates(tmp_path):
     cfg = write_cfg(tmp_path, CERTIFIED)
     out = tmp_path / "out"

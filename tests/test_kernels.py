@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from carlab.kernels import PSI_CONSTANT, PSI_PIECEWISE, PSI_ZERO, riccati_backward
+from carlab.kernels import riccati_backward
+from carlab.weights import eval_psi
 
 
-def scalar_riccati_backward(r, h, substep, kind, a0, a1, a2, a3, a4, a5):
-    """Reference: the one-substep-at-a-time RK4 loop with psi evaluated inline."""
+def _step(k, R):
+    return lambda x: np.where(x <= R, k, 0.0)
+
+
+def scalar_riccati_backward(r, h, substep, psi):
+    """Reference: the one-substep-at-a-time RK4 loop with psi evaluated per point."""
     n = r.shape[0]
     u = np.zeros(n)
     uu = 0.0
@@ -23,18 +28,7 @@ def scalar_riccati_backward(r, h, substep, kind, a0, a1, a2, a3, a4, a5):
         for _ in range(m):
             rm = rr + 0.5 * dt
             re = rr + dt
-            if kind == 0:
-                pa = a4 if rr <= a1 else (0.0 if rr >= a2 else a0 / (1.0 - (1.0 + rr) ** (-a3)) - a5)
-                pm = a4 if rm <= a1 else (0.0 if rm >= a2 else a0 / (1.0 - (1.0 + rm) ** (-a3)) - a5)
-                pe = a4 if re <= a1 else (0.0 if re >= a2 else a0 / (1.0 - (1.0 + re) ** (-a3)) - a5)
-            elif kind == 1:
-                pa = a0 if rr <= a1 else 0.0
-                pm = a0 if rm <= a1 else 0.0
-                pe = a0 if re <= a1 else 0.0
-            else:
-                pa = 0.0
-                pm = 0.0
-                pe = 0.0
+            pa, pm, pe = (float(psi(np.array([x]))[0]) for x in (rr, rm, re))
             k1 = (uu * uu - pa) / h
             v2 = uu + 0.5 * dt * k1
             k2 = (v2 * v2 - pm) / h
@@ -71,8 +65,7 @@ def test_piecewise_profile_matches_scalar_reference(baseline_spec, many):
     r[-1] = s.R1
     h = 0.05
     _assert_matches_reference(
-        (r, h, _substep(r, h, many), PSI_PIECEWISE,
-         s.B, s.R0, s.R1, s.delta, s.plateau, s.E / 4.0)
+        (r, h, _substep(r, h, many), lambda x: eval_psi(s, x))
     )
 
 
@@ -82,18 +75,18 @@ def test_constant_profile_matches_scalar_reference(many):
     r = np.linspace(0.0, 1.7, 60)
     h = 0.1
     _assert_matches_reference(
-        (r, h, _substep(r, h, many), PSI_CONSTANT, 2.5, 1.0, 0.0, 0.0, 0.0, 0.0)
+        (r, h, _substep(r, h, many), _step(2.5, 1.0))
     )
 
 
 @pytest.mark.parametrize("substep", [1.0, 1e-3])  # one substep per span, then 21
 def test_zero_profile_matches_scalar_reference(substep):
     r = np.linspace(0.0, 1.0, 50)
-    args = (r, 0.1, substep, PSI_ZERO, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    args = (r, 0.1, substep, np.zeros_like)
     assert np.array_equal(riccati_backward(*args), scalar_riccati_backward(*args))
 
 
 def test_short_grids():
     for r in (np.array([0.0]), np.array([0.0, 1.0])):
-        args = (r, 0.1, 0.01, PSI_CONSTANT, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0)
+        args = (r, 0.1, 0.01, _step(1.0, 2.0))
         assert np.array_equal(riccati_backward(*args), scalar_riccati_backward(*args))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +11,7 @@ from carlab import (
     assemble,
     catalog_potential,
     dense_resolvent_norm,
+    factor_shifted,
     weight_diag,
     weighted_resolvent_norm,
 )
@@ -26,7 +29,7 @@ def test_unweighted_respects_spectral_bound(small_box):
     ones = weight_diag(small_box, 0.0)
     assert np.all(ones == 1.0)
     eps, tol = 5e-2, 1e-8
-    est = weighted_resolvent_norm(op.factor(eps), ones, ones, tol=tol)
+    est = weighted_resolvent_norm(factor_shifted(op.matrix, eps), ones, ones, tol=tol)
     assert est.value <= (1.0 + tol) / eps
 
 
@@ -41,7 +44,8 @@ def test_matches_dense_svd_over_random_draws(small_box, rng):
         cases.append((str(name), h, eps, params))
     for name, h, eps, params in cases:
         op = _operator(small_box, name, h, **params)
-        est = weighted_resolvent_norm(op.factor(eps), w, w, tol=1e-9, max_iter=100, seed=11)
+        est = weighted_resolvent_norm(factor_shifted(op.matrix, eps), w, w,
+                                      tol=1e-9, max_iter=100, seed=11)
         oracle = dense_resolvent_norm(op, eps, w, w)
         assert abs(est.value - oracle) / oracle <= 1e-6
         assert est.value <= (1.0 + 1e-9) / eps
@@ -80,7 +84,7 @@ def test_degenerate_top_pair_matches_dense_svd(small_box):
     for eps in (1e-2, 1e-6):
         sv = np.linalg.svd(np.linalg.inv(op.shifted(eps).toarray()), compute_uv=False)
         assert sv[0] - sv[1] <= 1e-12 * sv[0]
-        est = weighted_resolvent_norm(op.factor(eps), w, w, tol=1e-9, seed=4)
+        est = weighted_resolvent_norm(factor_shifted(op.matrix, eps), w, w, tol=1e-9, seed=4)
         assert abs(est.value - sv[0]) / sv[0] <= 1e-6
 
 
@@ -88,7 +92,7 @@ def test_exterior_weight_beyond_box_gives_zero(small_box):
     op = _operator(small_box, "zero", 0.25)
     w = weight_diag(small_box, 0.6, R=10.0 * small_box.L)
     assert np.all(w == 0.0)
-    est = weighted_resolvent_norm(op.factor(1e-3), w, w)
+    est = weighted_resolvent_norm(factor_shifted(op.matrix, 1e-3), w, w)
     assert est.value == 0.0
 
 
@@ -103,7 +107,7 @@ def test_exterior_weight_on_few_nodes_breaks_down(small_box):
         op = _operator(small_box, name, 0.25, **params)
         for eps in (1e-4, 1e-2):
             with np.errstate(divide="raise", invalid="raise"):
-                est = weighted_resolvent_norm(op.factor(eps), w, w, seed=0)
+                est = weighted_resolvent_norm(factor_shifted(op.matrix, eps), w, w, seed=0)
             oracle = dense_resolvent_norm(op, eps, w, w)
             assert abs(est.value - oracle) / oracle <= 1e-6
             assert est.iterations <= nonzero + 1
@@ -116,7 +120,7 @@ def test_adjoint_solve_by_transpose(small_box, rng):
     op = _operator(small_box, "radial_decay", 0.25, c=1.0)
     y = rng.standard_normal((small_box.size, 3)) + 1j * rng.standard_normal((small_box.size, 3))
     for eps in (1e-6, 1e-4, 5e-2):
-        adjoint = op.factor(eps).solve(y, trans="H")
+        adjoint = factor_shifted(op.matrix, eps).solve(y, trans="H")
         direct = spla.splu(op.shifted(-eps), **LU_OPTIONS).solve(y)
         assert np.linalg.norm(adjoint - direct) <= 1e-10 * np.linalg.norm(direct)
 
@@ -128,7 +132,7 @@ def test_adjoint_solve_by_conjugation(small_box, rng):
     op = _operator(small_box, "radial_decay", 0.25, c=1.0)
     y = rng.standard_normal((small_box.size, 3)) + 1j * rng.standard_normal((small_box.size, 3))
     for eps in (1e-6, 1e-4, 5e-2):
-        conj_form = np.conj(op.factor(eps).solve(np.conj(y)))
+        conj_form = np.conj(factor_shifted(op.matrix, eps).solve(np.conj(y)))
         np.testing.assert_array_equal(
             conj_form, spla.splu(op.shifted(-eps), **LU_OPTIONS).solve(y)
         )
@@ -139,7 +143,8 @@ def test_monotone_in_exterior_radius(small_box):
     values = []
     for R in (0.8, 1.3, 1.8):
         w = weight_diag(small_box, 0.6, R=R)
-        values.append(weighted_resolvent_norm(op.factor(1e-4), w, w, tol=1e-10, seed=2).value)
+        lu = factor_shifted(op.matrix, 1e-4)
+        values.append(weighted_resolvent_norm(lu, w, w, tol=1e-10, seed=2).value)
     assert values[0] >= values[1] - 1e-8
     assert values[1] >= values[2] - 1e-8
 
@@ -148,7 +153,7 @@ def test_max_iter_carries_estimate(small_box):
     op = _operator(small_box, "zero", 0.25)
     w = weight_diag(small_box, 0.6)
     with pytest.raises(PowerIterationError) as err:
-        weighted_resolvent_norm(op.factor(1e-4), w, w, tol=1e-16, max_iter=2)
+        weighted_resolvent_norm(factor_shifted(op.matrix, 1e-4), w, w, tol=1e-16, max_iter=2)
     assert err.value.estimate is not None
     assert err.value.estimate > 0.0
     assert err.value.iterations == 2
@@ -164,7 +169,8 @@ def test_max_iter_estimate_is_top_ritz_value(small_box):
     assert dense == pytest.approx(15.0214, abs=1e-4)
     for max_iter in (4, 6, 8):
         with pytest.raises(PowerIterationError) as err:
-            weighted_resolvent_norm(op.factor(1e-4), w, w, tol=1e-16, max_iter=max_iter)
+            weighted_resolvent_norm(factor_shifted(op.matrix, 1e-4), w, w,
+                                    tol=1e-16, max_iter=max_iter)
         assert err.value.iterations == max_iter
         assert abs(err.value.estimate - dense) <= 1e-3
         assert err.value.estimate <= (1.0 + 1e-9) * dense
@@ -176,7 +182,7 @@ def test_zero_max_iter_applies_nothing(small_box):
     op = _operator(small_box, "zero", 0.25)
     w = weight_diag(small_box, 0.6)
     with pytest.raises(PowerIterationError) as err:
-        weighted_resolvent_norm(op.factor(1e-4), w, w, max_iter=0)
+        weighted_resolvent_norm(factor_shifted(op.matrix, 1e-4), w, w, max_iter=0)
     assert err.value.iterations == 0
 
 
@@ -192,8 +198,10 @@ def test_eps_ladder_saturates(name, params):
     V = catalog_potential(name, 0.4, disc, E=1.0, **params)
     w = weight_diag(disc, 0.6)
     op = assemble(V, 1.0, 0.4, disc, check_resolution=False)
-    vals = np.array([weighted_resolvent_norm(op.factor(eps), w, w, tol=1e-9, seed=3).value
-                     for eps in (1e-2, 1e-4, 1e-6)])
+    vals = np.array([
+        weighted_resolvent_norm(factor_shifted(op.matrix, eps), w, w, tol=1e-9, seed=3).value
+        for eps in (1e-2, 1e-4, 1e-6)
+    ])
     assert vals.max() <= 2.5 * vals.min()
 
 
@@ -207,6 +215,22 @@ def test_grid_convergence_at_largest_h():
         disc = BoxDiscretization(L=2.5, n=n)
         op = _operator(disc, "zero", h)
         w = weight_diag(disc, 0.6)
-        vals.append(weighted_resolvent_norm(op.factor(eps), w, w, tol=1e-9, seed=1).value)
+        lu = factor_shifted(op.matrix, eps)
+        vals.append(weighted_resolvent_norm(lu, w, w, tol=1e-9, seed=1).value)
     for coarse, fine in zip(vals, vals[1:]):
         assert abs(fine - coarse) / coarse <= 0.05
+
+
+def test_readme_library_block_runs(small_box):
+    # every name the README imports exists, and its example gives the dense norm
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library entry points")[1].split("```python\n")[1].split("```")[0]
+    imports, example = block.strip().split("\n\n")
+    *steps, last = example.splitlines()
+    scope = {"V": catalog_potential("zero", 0.4, small_box), "E": 1.0, "h": 0.8,
+             "disc": small_box, "s": 0.6, "eps": 0.2}
+    exec(imports, scope)
+    exec("\n".join(steps), scope)
+    value = eval(last, scope)
+    oracle = dense_resolvent_norm(scope["op"], 0.2, scope["w"], scope["w"])
+    assert abs(value - oracle) <= 1e-6 * oracle

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -5,12 +7,10 @@ import scipy.sparse.linalg as spla
 from carlab import (
     BoxDiscretization,
     ConstructionError,
-    SolverError,
     assemble,
     catalog_potential,
-    solve_shifted,
+    factor_shifted,
 )
-from carlab.resolvent import apply_shifted
 
 
 @pytest.fixture(scope="module")
@@ -89,40 +89,13 @@ def test_resolution_gate(box12):
     assemble(np.zeros(box12.size), 1.0, 4.0 * box12.a * 1.01, box12)
 
 
-def test_solve_zero_rhs(box12):
-    op = assemble(np.zeros(box12.size), 1.0, 0.3, box12, check_resolution=False)
-    z = solve_shifted(op, 0.1, np.zeros(box12.size))
-    assert np.all(z == 0.0)
-
-
-def test_solve_roundtrip(box12, rng):
-    op = assemble(np.zeros(box12.size), 1.0, 0.3, box12, check_resolution=False)
-    y = rng.standard_normal(box12.size) + 1j * rng.standard_normal(box12.size)
-    rhs = apply_shifted(op, 0.1, y)
-    z = solve_shifted(op, 0.1, rhs)
-    assert np.linalg.norm(z - y) / np.linalg.norm(y) <= 1e-10
-
-
-def test_solve_matches_dense_lu(box12, rng):
-    V = catalog_potential("zero", 0.4, box12)
+def test_factor_shifted_matches_dense_solve(box12, rng):
+    V = catalog_potential("trapping_ring", 0.4, box12, E=1.0, A=2.0, rho=1.0, sigma=0.25)
     op = assemble(V, 1.0, 0.3, box12, check_resolution=False)
-    rhs = rng.standard_normal(box12.size)
-    z = solve_shifted(op, 0.1, rhs)
-    dense = np.linalg.solve(op.shifted(0.1).toarray(), rhs.astype(complex))
+    rhs = rng.standard_normal(box12.size) + 1j * rng.standard_normal(box12.size)
+    z = factor_shifted(op.matrix, 0.1).solve(rhs)
+    dense = np.linalg.solve(op.shifted(0.1).toarray(), rhs)
     assert np.linalg.norm(z - dense) / np.linalg.norm(dense) <= 1e-10
-
-
-def test_solve_rejects_nonpositive_eps(box12):
-    op = assemble(np.zeros(box12.size), 1.0, 0.3, box12, check_resolution=False)
-    with pytest.raises(SolverError, match="eps nonpositive"):
-        solve_shifted(op, 0.0, np.ones(box12.size))
-
-
-def test_factor_cache_reused(box12):
-    op = assemble(np.zeros(box12.size), 1.0, 0.3, box12, check_resolution=False)
-    f1 = op.factor(0.1)
-    f2 = op.factor(0.1)
-    assert f1 is f2
 
 
 @pytest.mark.parametrize("E,h", [(1.0, 0.4), (8.0, 0.12)])
@@ -133,7 +106,7 @@ def test_factor_ordering_cuts_fill(E, h):
     # below 1% of a column and so keeps the symmetric structure
     disc = BoxDiscretization(L=2.5, n=64)
     op = assemble(np.zeros(disc.size), E, h, disc, check_resolution=False)
-    lu = op.factor(h / 4)
+    lu = factor_shifted(op.matrix, h / 4)
     default = spla.splu(op.shifted(h / 4))
     assert lu.L.nnz + lu.U.nnz <= 0.75 * (default.L.nnz + default.U.nnz)
 
@@ -142,3 +115,10 @@ def test_real_part_symmetric(box12):
     V = catalog_potential("trapping_ring", 0.4, box12, E=1.0, A=2.0, rho=1.0, sigma=0.25)
     op = assemble(V, 1.0, 0.3, box12, check_resolution=False)
     assert (op.matrix - op.matrix.T).nnz == 0
+
+
+def test_operator_is_frozen(box12):
+    # nothing is cached on an operator, so it is safe to share
+    op = assemble(np.zeros(box12.size), 1.0, 0.3, box12, check_resolution=False)
+    with pytest.raises(FrozenInstanceError):
+        op.h = 0.2

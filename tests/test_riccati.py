@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from carlab import ConstructionError, build_weight_tables, solve_riccati_constant
-from carlab.kernels import PSI_ZERO, riccati_backward
+from carlab import ConstructionError, build_weight_tables
+from carlab.kernels import riccati_backward
 from carlab import weights
-from carlab.weights import radial_grid, solve_phi_riccati
+from carlab.weights import eval_psi, radial_grid, solve_phi_riccati
 
 
 @pytest.mark.parametrize("h", [0.05, 0.1, 0.2])
@@ -12,7 +12,7 @@ def test_constant_profile_matches_tanh(h):
     # separable solution of u' = (u^2 - k)/h with u(R) = 0
     k, R = 2.5, 1.7
     r = np.linspace(0.0, R, 1500)
-    u = solve_riccati_constant(k, R, h, r)
+    u = riccati_backward(r, h, h / 80.0, lambda x: np.where(x <= R, k, 0.0))
     exact = np.sqrt(k) * np.tanh(np.sqrt(k) * (R - r) / h)
     rel = np.abs(u - exact).max() / exact.max()
     assert rel <= 1e-8
@@ -20,7 +20,7 @@ def test_constant_profile_matches_tanh(h):
 
 def test_zero_profile_gives_zero():
     r = np.linspace(0.0, 3.0, 500)
-    u = riccati_backward(r, 0.1, 0.01, PSI_ZERO, 0, 0, 0, 0, 0, 0)
+    u = riccati_backward(r, 0.1, 0.01, np.zeros_like)
     assert np.all(u == 0.0)
 
 
@@ -57,6 +57,27 @@ def test_kernel_integrates_only_up_to_r1(baseline_spec, monkeypatch):
     assert np.array_equal(grids[0][1:], grid.nodes[: grid.i_r1 + 1])
     assert np.all(u[grid.i_r1:] == 0.0)
     assert np.all(phi[grid.i_r1:] == phi[grid.i_r1])
+
+
+def test_kernel_integrates_the_gated_psi(baseline_spec, monkeypatch):
+    # the kernel steps through the same psi that riccati_residual checks,
+    # bit for bit, also at the kinks and their one-ulp neighbours
+    profiles = []
+
+    def spy(r, h, substep, psi):
+        profiles.append(psi)
+        return riccati_backward(r, h, substep, psi)
+
+    monkeypatch.setattr(weights, "riccati_backward", spy)
+    s = baseline_spec
+    solve_phi_riccati(s, 0.05, radial_grid(s))
+    assert len(profiles) == 1
+    x = np.concatenate([
+        [0.0, 0.5 * s.R0, 0.5 * (s.R0 + s.R1), 2.0 * s.R1],
+        [np.nextafter(s.R0, 0.0), s.R0, np.nextafter(s.R0, np.inf)],
+        [np.nextafter(s.R1, 0.0), s.R1, np.nextafter(s.R1, np.inf)],
+    ])
+    np.testing.assert_array_equal(profiles[0](x), eval_psi(s, x))
 
 
 def test_phi_normalization(baseline_tables):
