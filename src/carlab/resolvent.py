@@ -3,9 +3,9 @@
 P = -h^2 Lap + V - E on a truncated box with homogeneous Dirichlet walls,
 5-point stencil.  The -i*eps shift is applied at factorization time by
 factor_shifted, and one LU of P - i*eps serves every right-hand side.
-The weighted norm takes any LU: sweeps factor one quarter-box matrix per
-reflection sector of the box and hand that LU to every mode and, as its
-trans="H" solve, to the Lanczos norm's adjoint.
+The weighted norm takes any LU: sweeps factor one matrix per sector of the
+square's symmetries (an eighth of the box for radial inputs) and hand that
+LU to every mode and, as its trans="H" solve, to the Lanczos norm's adjoint.
 """
 
 import itertools
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     ConstructionError,
@@ -30,6 +30,7 @@ from .potentials import PotentialSample
 # n = 64 full partial pivoting swaps rows and leaves 4.4M LU nonzeros, not 127k.
 PERMC_SPEC = "MMD_AT_PLUS_A"
 LU_OPTIONS = dict(permc_spec=PERMC_SPEC, diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+_STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))  # for _top_ritz_pair
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,22 @@ def weight_diag(disc: BoxDiscretization, s: float, R: float | None = None) -> np
     return vals if R is None else np.where(r >= R, vals, 0.0)
 
 
+def _top_ritz_pair(alpha: list, beta: list) -> tuple:
+    """Top eigenpair (theta, s) of the symmetric tridiagonal (alpha, beta):
+    the LAPACK calls eigh_tridiagonal(select="i") makes for the last index,
+    dstebz by index in block order, then dstein, with the same arguments."""
+    d, e = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise SolverError("Lanczos recurrence is not finite")
+    if d.size == 1:
+        return d, np.ones((1, 1))
+    m, w, iblock, isplit, info = _STEBZ(d, e, 2, 0.0, 1.0, d.size, d.size, 0.0, "B")
+    s, info_s = _STEIN(d, e, w[:m], iblock, isplit)
+    if info or info_s:
+        raise SolverError(f"tridiagonal eigensolver failed (info {info}, {info_s})")
+    return w[:m], s
+
+
 @dataclass(frozen=True)
 class NormEstimate:
     value: float
@@ -170,10 +187,10 @@ def weighted_resolvent_norm(
     .solve(b, trans=), such as scipy's splu of P - i eps, and the diagonal
     weights are arrays of M's size.  A is scale / solve / scale with lu,
     and A* uses the same LU through its trans="H" solve.  Each step is
-    reorthogonalized twice against the whole basis, which also resolves
-    the box's symmetry-degenerate top modes, and the iteration stops once
-    the top Ritz residual beta_k |s_k| is at most tol/10 times the Ritz
-    value, or on breakdown.  One more application certifies the result by the
+    reorthogonalized twice against the whole basis, which also resolves the
+    box's symmetry-degenerate top modes.  The top Ritz pair (theta, s) comes
+    from direct dstebz/dstein calls, and the iteration stops once beta_k |s_k|
+    <= tol/10 theta, or on breakdown.  One more application certifies it by the
     Hermitian eigenpair residual |A*A z - lam z| <= tol * lam, which bounds
     the eigenvalue error.  iterations counts A*A applications, at most
     max_iter; past it, or past a missed certificate, PowerIterationError
@@ -210,7 +227,7 @@ def weighted_resolvent_norm(
         alpha.append(rayleigh)  # q_k^H A*A q_k, as q_k is a unit vector
         for _ in range(2):  # Gram-Schmidt against every q_j, in place
             y -= np.conj(basis[:k + 1] @ np.conj(y)) @ basis[:k + 1]
-        theta, s = eigh_tridiagonal(alpha, beta, select="i", select_range=(k, k))
+        theta, s = _top_ritz_pair(alpha, beta)
         beta.append(float(np.linalg.norm(y)))
         if beta[-1] * abs(s[-1, 0]) <= tol / 10.0 * theta[0]:  # breakdown meets it too
             break
@@ -243,38 +260,46 @@ def _axis_halves(n):
 
 
 def reflection_sectors(disc: BoxDiscretization, *fields) -> list:
-    """(S, rep) per parity sector of the reflections x -> -x, y -> -y that
-    every field (one value per node) respects exactly.  S = kron(B_x, B_y)
-    extends values at the representative nodes rep to the box by parity
-    (entries +-1, S[rep] = I), so S scaled by 1/sqrt(column counts) is an
-    orthonormal basis, P S = S P[rep] S and a symmetric diagonal W has
-    W S = S diag(W[rep]).  (odd, even) is dropped when the fields are also
-    transpose symmetric, as it is the transpose of (even, odd): radial
-    fields give 3 sectors, no symmetry 1.
+    """(S, rep) per sector of the square's symmetries that every field (one
+    value per node) respects exactly: x -> -x, y -> -y and, if every field
+    equals its transpose, x <-> y.  S extends values at the representative
+    nodes rep to the box by symmetry (entries +-1, S[rep] = I), so S scaled
+    by 1/sqrt(column counts) is an orthonormal basis, P S = S P[rep] S and a
+    symmetric diagonal W has W S = S diag(W[rep]).  Under x <-> y the parity
+    sector (odd, even) is dropped as the transpose of (even, odd), and each
+    square sector, (even, even), (odd, odd) or the whole box, splits into its
+    symmetric and antisymmetric halves: radial fields give 5 sectors.
     """
     n = disc.n
     grids = [np.reshape(f, (n, n)) for f in fields]
-    whole = [(sp.identity(n, format="csr"), np.arange(n))]
+    axis, whole = _axis_halves(n), [(sp.identity(n, format="csr"), np.arange(n))]
 
     def halves(flip):
-        return _axis_halves(n) if all(np.array_equal(g, flip(g)) for g in grids) else whole
+        return axis if all(np.array_equal(g, flip(g)) for g in grids) else whole
 
     pairs = list(itertools.product(halves(lambda g: g[::-1]), halves(lambda g: g[:, ::-1])))
-    if len(pairs) == 4 and all(np.array_equal(g, g.T) for g in grids):
-        del pairs[2]  # (odd, even)
-    return [(sp.kron(bx, by, format="csc"), (rx[:, None] * n + ry).ravel())
-            for (bx, rx), (by, ry) in pairs]
+    transposed = all(np.array_equal(g, g.T) for g in grids)
+    if transposed and len(pairs) == 4:
+        del pairs[2]  # (odd, even); a field even in x and transpose symmetric is even in y
+    sectors = []
+    for (bx, rx), (by, ry) in pairs:
+        S, rep = sp.kron(bx, by, format="csc"), (rx[:, None] * n + ry).ravel()
+        if transposed and rx is ry:  # a square sector: split it by x <-> y
+            i, j = np.triu_indices(len(rx))
+            upper, lower, off = i * len(rx) + j, j * len(rx) + i, i < j  # columns e_ij, e_ji
+            sectors += [((S[:, upper] + S[:, lower]).sign(), rep[upper]),  # e_ii + e_ii is 2 e_ii
+                        (S[:, upper[off]] - S[:, lower[off]], rep[upper[off]])]
+        else:
+            sectors.append((S, rep))
+    return sectors
 
 
-def _sector_step(lu, S, rep, row, w, tol, max_iter, seed) -> tuple:
+def _sector_step(lu, row, w_left, w_right, tol, max_iter, seed) -> tuple:
     """A row's (norm, applications, residual) after one more sector: largest
-    norm and residual, applications summed under one max_iter budget.  On the
-    orthonormal basis S/k, A is W k (P[rep] S - i eps)^-1 W / k: the
-    irrational k rounds in the weights, not in the nearly singular P."""
+    norm and residual, applications summed under one max_iter budget."""
     best, used, resid = row
-    k = np.sqrt(np.diff(S.indptr))
     try:
-        est = weighted_resolvent_norm(lu, w[rep] * k, w[rep] / k, tol, max_iter - used, seed)
+        est = weighted_resolvent_norm(lu, w_left, w_right, tol, max_iter - used, seed)
     except PowerIterationError as exc:
         top = max(best, exc.estimate)
         raise PowerIterationError(f"{exc} in a sector; row estimate {top:.6e}",
@@ -354,15 +379,16 @@ def sweep_h(
 ) -> dict:
     """One weighted-norm row per h (descending) and mode, as {mode: SweepResult}.
 
-    eps_rule is a constant or a callable h -> eps.  Each h assembles one
-    operator and restricts it to the reflection sectors that V and every
-    weight respect.  Each sector matrix, shifted by -i eps, is factored
-    once, and that LU goes to weighted_resolvent_norm for every mode.  A
-    row's norm and residual are the largest over sectors, and iterations
-    sums them under max_iter.  The box is validated once against the
-    largest h (spacing a <= max(hs)/4); later rows reuse the grid, where
-    the points-per-wavelength count only grows milder than the a <= h/4
-    rule.
+    eps_rule is a constant or a callable h -> eps.  One bare 5-point stencil
+    is assembled per sweep and restricted once to each symmetry sector of
+    the box that V and every weight respect (reflection_sectors).  Per h a
+    sector matrix is h^2 stencil + (V - E)[rep], factored once with its
+    -i eps shift, and that LU goes to weighted_resolvent_norm for every mode.
+    A row's norm and residual are the largest over sectors, and iterations
+    sums them under max_iter.  The box is validated once against the largest
+    h (spacing a <= max(hs)/4); later rows reuse the grid, where the
+    points-per-wavelength count only grows milder than the a <= h/4 rule.
+    A mode whose weight is zero on the whole box raises ConstructionError.
     """
     hs = [float(h) for h in hs]
     if not hs:
@@ -382,22 +408,32 @@ def sweep_h(
         )
     cutoffs = {mode: R if mode == "exterior" else None for mode in modes}
     weights = {mode: weight_diag(disc, s, cutoff) for mode, cutoff in cutoffs.items()}
-    sectors = reflection_sectors(disc, V.values, *weights.values())
+    for mode, w in weights.items():
+        if not np.any(w):
+            raise ConstructionError(f"the {mode} weight is zero at every node: cutoff R = {R}, "
+                                    f"largest node radius {disc.radii().max():.6g}")
+    if V.mode != "field2d" or V.values.size != disc.size:
+        raise ConstructionError("sweep needs a field2d potential with one value per box node")
+    lap = assemble(np.zeros(disc.size), 0.0, 1.0, disc, check_resolution=False).matrix.tocsr()
+    sectors = []  # (stencil, (V - E)[rep], {mode: scaled weights}); S itself is not kept
+    for S, rep in reflection_sectors(disc, V.values, *weights.values()):
+        # on the orthonormal basis S/k, A is W k (P[rep] S - i eps)^-1 W / k:
+        # the irrational k rounds in the weights, not in the nearly singular P
+        k = np.sqrt(np.diff(S.indptr))
+        sectors.append(((lap[rep] @ S).tocsc(), V.values[rep] - E,
+                        {mode: (w[rep] * k, w[rep] / k) for mode, w in weights.items()}))
     rows = []
     for h in hs:
         try:
             eps = float(eps_rule(h)) if callable(eps_rule) else float(eps_rule)
             if not (eps > 0.0):
                 raise SolverError(f"eps rule produced nonpositive eps = {eps} at h = {h}")
-            P = assemble(V, E, h, disc, check_resolution=False).matrix.tocsr()
-            mats = [(P[rep] @ S).tocsc() for S, rep in sectors]
-            del P  # the full box is not kept through the Lanczos runs
             found = dict.fromkeys(modes, (0.0, 0, 0.0))
-            for mat, (S, rep) in zip(mats, sectors):
+            for stencil, shift, scaled in sectors:
                 lu = None  # one LU alive; the last lives on, and the next row reuses its pages
-                lu = factor_shifted(mat, eps)
-                for mode, w in weights.items():
-                    found[mode] = _sector_step(lu, S, rep, found[mode], w, tol, max_iter, seed)
+                lu = factor_shifted(h * h * stencil + sp.diags(shift), eps)
+                for mode, (w_left, w_right) in scaled.items():
+                    found[mode] = _sector_step(lu, found[mode], w_left, w_right, tol, max_iter, seed)
             for mode, (norm, iterations, residual) in found.items():
                 rows.append(SweepRow(h=h, eps=eps, mode=mode, s=s, R=cutoffs[mode], norm=norm,
                                      iterations=iterations, residual=residual))

@@ -151,6 +151,18 @@ def test_overflowing_sweep_exits_four(tmp_path, resolvent):
     assert run(["sweep", "--config", cfg, "--out", tmp_path / "out"]) == 4
 
 
+def test_exterior_cutoff_beyond_box_exits_two(tmp_path, capsys):
+    # every exterior weight is 0: the sweep once wrote a NaN slope and exited 0
+    cfg = write_cfg(tmp_path, {"resolvent": {"box": {"n": 5, "half_width": 2.5},
+                                             "hs": [40.0, 30.0], "modes": ["exterior"],
+                                             "R": 100.0}})
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "exterior weight is zero" in err and "Traceback" not in err
+    assert not (out / "fits_exterior.json").exists()
+
+
 def test_config_errors_exit_one_and_leave_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["weights", "--config", tmp_path / "missing.json", "--out", out]) == 1

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from carlab import (
     BoxDiscretization,
     PowerIterationError,
+    SolverError,
     assemble,
     catalog_potential,
     dense_resolvent_norm,
@@ -15,7 +17,7 @@ from carlab import (
     weight_diag,
     weighted_resolvent_norm,
 )
-from carlab.resolvent import LU_OPTIONS
+from carlab.resolvent import LU_OPTIONS, _top_ritz_pair
 
 
 def _operator(disc, name, h, E=1.0, **params):
@@ -111,6 +113,28 @@ def test_exterior_weight_on_few_nodes_breaks_down(small_box):
             oracle = dense_resolvent_norm(op, eps, w, w)
             assert abs(est.value - oracle) / oracle <= 1e-6
             assert est.iterations <= nonzero + 1
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 40, 300])
+@pytest.mark.parametrize("breakdown", [False, True])
+def test_top_ritz_pair_matches_eigh_tridiagonal(k, breakdown):
+    # the direct LAPACK calls must give bitwise the pair the scipy wrapper
+    # gives, also when an off-diagonal entry is zero and the matrix splits
+    rng = np.random.default_rng(k)
+    alpha, beta = list(rng.standard_normal(k + 1)), list(np.abs(rng.standard_normal(k)))
+    if breakdown and k:
+        beta[k // 2] = 0.0
+    theta, s = _top_ritz_pair(alpha, beta)
+    theta_ref, s_ref = eigh_tridiagonal(alpha, beta, select="i", select_range=(k, k))
+    assert theta.tobytes() == theta_ref.tobytes() and s.tobytes() == s_ref.tobytes()
+    assert s.shape == s_ref.shape == (k + 1, 1)
+
+
+def test_top_ritz_pair_rejects_non_finite_entries():
+    # eigh_tridiagonal's finiteness check, kept where LAPACK is called directly
+    for alpha, beta in (([1.0, np.nan], [0.5]), ([1.0, 2.0], [np.inf])):
+        with pytest.raises(SolverError, match="not finite"):
+            _top_ritz_pair(alpha, beta)
 
 
 def test_adjoint_solve_by_transpose(small_box, rng):

@@ -60,6 +60,20 @@ def test_exterior_needs_radius(sweep_box, zero_field):
         sweep_h(zero_field, 1.0, 0.6, [0.4], eps_rule=1e-2, modes=["exterior"], disc=sweep_box)
 
 
+def test_exterior_cutoff_beyond_box_rejected(sweep_box, zero_field):
+    # every exterior weight would be 0, every norm 0 and every fit NaN
+    with pytest.raises(ConstructionError, match=r"exterior weight is zero.*R = 100.*radius 2.12"):
+        sweep_h(zero_field, 1.0, 0.6, [0.4], eps_rule=1e-2, modes=["interior", "exterior"],
+                R=100.0, disc=sweep_box)
+
+
+def test_potential_off_the_box_rejected(sweep_box):
+    # a sample from another box cannot be restricted to this one's sectors
+    other = catalog_potential("zero", 0.4, BoxDiscretization(L=1.5, n=40))
+    with pytest.raises(ConstructionError, match="one value per box node"):
+        _interior(other, 1.0, 0.6, [0.4], eps_rule=1e-2, disc=sweep_box)
+
+
 @pytest.mark.parametrize("modes", [[], ["interior", "interior"]])
 def test_modes_nonempty_and_distinct(sweep_box, zero_field, modes):
     with pytest.raises(ValueError, match="nonempty, distinct"):
@@ -71,22 +85,30 @@ def test_modes_share_one_factorization_per_h(sweep_box, zero_field, monkeypatch)
     interior = _interior(zero_field, 1.0, 0.6, hs, eps_rule=1e-2, disc=sweep_box)
     exterior = sweep_h(zero_field, 1.0, 0.6, hs, eps_rule=1e-2, modes=["exterior"],
                        R=R, disc=sweep_box)["exterior"]
-    calls = []
-    splu = spla.splu
+    calls, assembled = [], []
+    splu, assemble_box = spla.splu, resolvent.assemble
 
     def counting_splu(*args, **kwargs):
         calls.append(args)
         return splu(*args, **kwargs)
 
+    def counting_assemble(*args, **kwargs):
+        assembled.append(args)
+        return assemble_box(*args, **kwargs)
+
     monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(resolvent, "assemble", counting_assemble)
     both = sweep_h(zero_field, 1.0, 0.6, hs, eps_rule=1e-2, modes=["interior", "exterior"],
                    R=R, disc=sweep_box)
-    # one LU per h and reflection sector (3 for radial fields), shared by
-    # both modes
+    # one LU per h and sector of the square's symmetries (5 for radial
+    # fields), shared by both modes, and one stencil for the whole sweep
     sectors = reflection_sectors(sweep_box, zero_field.values,
                                  weight_diag(sweep_box, 0.6), weight_diag(sweep_box, 0.6, R))
-    assert len(sectors) == 3
+    assert len(sectors) == 5
     assert len(calls) == len(hs) * len(sectors)
+    assert len(assembled) == 1
+    sweep_h(zero_field, 1.0, 0.6, hs[:1], eps_rule=1e-2, disc=sweep_box)
+    assert len(assembled) == 2
     assert list(both) == ["interior", "exterior"]
     assert both["interior"] == interior
     assert both["exterior"] == exterior
@@ -185,7 +207,8 @@ def _field(disc, kind):
     """A field2d sample of one symmetry class, with its sector count."""
     X, Y = disc.mesh()
     values, count = {
-        "radial": (0.5 * np.exp(-2.0 * (X**2 + Y**2)), 3),
+        "radial": (0.5 * np.exp(-2.0 * (X**2 + Y**2)), 5),
+        "diagonal_centre": (0.2 * ((X - 0.3) ** 2 + (Y - 0.3) ** 2), 2),
         "even_anisotropic": (0.2 * (X**2 + 2.0 * Y**2), 4),
         "even_in_x": (0.2 * X**2 + 0.1 * Y, 2),
         "off_centre": (0.2 * ((X - 0.3) ** 2 + (Y - 0.2) ** 2), 1),
@@ -194,7 +217,8 @@ def _field(disc, kind):
 
 
 @pytest.mark.parametrize("n", [24, 25])
-@pytest.mark.parametrize("kind", ["radial", "even_anisotropic", "even_in_x", "off_centre"])
+@pytest.mark.parametrize("kind", ["radial", "even_anisotropic", "even_in_x", "diagonal_centre",
+                                  "off_centre"])
 def test_sectors_match_full_box(n, kind):
     # the sector split must reproduce the full-box norm: against Lanczos on
     # the assembled box operator and against the dense SVD
@@ -227,12 +251,18 @@ def test_sector_bases_orthonormal_and_decoupled(n):
     V4, _ = _field(disc, "even_anisotropic")
     full = np.hstack([orthonormal(S) for S, _ in reflection_sectors(disc, V4.values)])
     np.testing.assert_allclose(full.T @ full, np.eye(disc.size), atol=1e-15)
+    # so do the 5 sectors of a radial field with the transpose of (even,
+    # odd), the (odd, even) sector they leave out
+    V, _ = _field(disc, "radial")
+    sectors = reflection_sectors(disc, V.values)
+    assert len(sectors) == 5
+    bases = [orthonormal(S) for S, _ in sectors]
+    transpose = np.arange(disc.size).reshape(n, n).T.ravel()
+    full = np.hstack(bases + [bases[2][transpose]])
+    np.testing.assert_allclose(full.T @ full, np.eye(disc.size), atol=1e-15)
     # on a radial field P leaves each sector invariant: no coupling across
     # sectors, and P acts on a sector as P[rep] S on its representative nodes
-    V, _ = _field(disc, "radial")
     P = assemble(V, 1.0, 0.5, disc, check_resolution=False).matrix.toarray()
-    sectors = reflection_sectors(disc, V.values)
-    assert len(sectors) == 3
     for S, rep in sectors:
         S = S.toarray()
         np.testing.assert_array_equal(S[rep], np.eye(len(rep)))
