@@ -6,10 +6,16 @@ factor_shifted, and one LU of P - i*eps serves every right-hand side.
 The weighted norm takes any LU: sweeps factor one matrix per sector of the
 square's symmetries (an eighth of the box for radial inputs) and hand that
 LU to every mode and, as its trans="H" solve, to the Lanczos norm's adjoint.
+A sweep's (h, sector) problems are independent, and SuperLU releases the
+GIL while it factors and solves, so sweep_h runs them on one thread per
+available CPU when the sectors are large enough to pay for it, and always
+reduces their results in row order on the calling thread.
 """
 
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +37,14 @@ from .potentials import PotentialSample
 PERMC_SPEC = "MMD_AT_PLUS_A"
 LU_OPTIONS = dict(permc_spec=PERMC_SPEC, diag_pivot_thresh=0.01, options={"SymmetricMode": True})
 _STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))  # for _top_ritz_pair
+# A sweep whose largest sector has fewer unknowns runs its tasks on the
+# calling thread.  Such tasks spend most of their time in Python under the
+# GIL, and each short solve hands the GIL to another thread: on a shared
+# 2-core Xeon, two workers left the n = 64 ring sweep's median op flat
+# (1024 unknowns) but lengthened its p90 by a fifth, and one worker thread
+# was slower than none; n = 128 (4096) gained a quarter.  Sizes in between
+# were not measured.
+POOL_MIN_UNKNOWNS = 2048
 
 
 @dataclass(frozen=True)
@@ -84,14 +98,21 @@ class DiscreteOperator:
     disc: BoxDiscretization
 
     def shifted(self, eps: float) -> sp.csc_matrix:
-        return (self.matrix - 1j * eps * sp.identity(self.matrix.shape[0], format="csc")).tocsc()
+        return _shifted(self.matrix, eps)
+
+
+def _shifted(matrix, eps: float) -> sp.csc_matrix:
+    """Complex CSC copy of matrix - i*eps, shifted in place on its diagonal:
+    the same sums as matrix - i*eps*I without sparse arithmetic."""
+    mat = sp.csc_matrix(matrix, dtype=complex, copy=True)
+    mat.setdiag(mat.diagonal() - 1j * eps)
+    return mat
 
 
 def factor_shifted(matrix: sp.csc_matrix, eps: float):
     """Sparse LU of matrix - i*eps under LU_OPTIONS; SolverError if singular."""
-    n = matrix.shape[0]
     try:
-        return spla.splu((matrix - 1j * eps * sp.identity(n, format="csc")).tocsc(), **LU_OPTIONS)
+        return spla.splu(_shifted(matrix, eps), **LU_OPTIONS)
     except RuntimeError as exc:  # "Factor is exactly singular", e.g. on overflowed entries
         raise SolverError(f"factorization failed: {exc}") from exc
 
@@ -294,6 +315,15 @@ def reflection_sectors(disc: BoxDiscretization, *fields) -> list:
     return sectors
 
 
+def _sector_matrix(stencil: sp.csc_matrix, shift: np.ndarray, h: float) -> sp.csc_matrix:
+    """h^2 stencil + diag(shift) as one in-place update of a copy: the same
+    sums as the sparse arithmetic, on the stencil's sorted CSC structure."""
+    mat = stencil.copy()
+    mat.data *= h * h
+    mat.setdiag(mat.diagonal() + shift)
+    return mat
+
+
 def _sector_step(lu, row, w_left, w_right, tol, max_iter, seed) -> tuple:
     """A row's (norm, applications, residual) after one more sector: largest
     norm and residual, applications summed under one max_iter budget."""
@@ -389,10 +419,24 @@ def sweep_h(
     h (spacing a <= max(hs)/4); later rows reuse the grid, where the
     points-per-wavelength count only grows milder than the a <= h/4 rule.
     A mode whose weight is zero on the whole box raises ConstructionError.
+
+    Each (h, sector) task factors its sector matrix, runs every mode under
+    the whole max_iter and returns only the estimates, so at most one LU
+    per thread is alive.  Once the largest sector has POOL_MIN_UNKNOWNS
+    unknowns, the tasks run on a thread pool with one worker per CPU the
+    process may use (eps_rule is then called from the workers), and no
+    worker outlives the call; smaller ones run on the calling thread.  The
+    calling thread reduces the results in row, sector and mode order; a
+    sector that failed or overran the row's remaining budget is replayed
+    there on a fresh LU under that budget.  Rows, errors and
+    SweepAbortedError's partial rows are therefore exactly those of one
+    thread.
     """
     hs = [float(h) for h in hs]
     if not hs:
         raise ValueError("no sweep points")
+    if not all(h > 0.0 for h in hs):
+        raise ValueError("hs must be positive")
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("hs must be strictly descending")
     if not modes or len(set(modes)) != len(modes) or not set(modes) <= {"interior", "exterior"}:
@@ -422,23 +466,54 @@ def sweep_h(
         k = np.sqrt(np.diff(S.indptr))
         sectors.append(((lap[rep] @ S).tocsc(), V.values[rep] - E,
                         {mode: (w[rep] * k, w[rep] / k) for mode, w in weights.items()}))
-    rows = []
-    for h in hs:
-        try:
-            eps = float(eps_rule(h)) if callable(eps_rule) else float(eps_rule)
-            if not (eps > 0.0):
-                raise SolverError(f"eps rule produced nonpositive eps = {eps} at h = {h}")
-            found = dict.fromkeys(modes, (0.0, 0, 0.0))
-            for stencil, shift, scaled in sectors:
-                lu = None  # one LU alive; the last lives on, and the next row reuses its pages
-                lu = factor_shifted(h * h * stencil + sp.diags(shift), eps)
-                for mode, (w_left, w_right) in scaled.items():
-                    found[mode] = _sector_step(lu, found[mode], w_left, w_right, tol, max_iter, seed)
-            for mode, (norm, iterations, residual) in found.items():
-                rows.append(SweepRow(h=h, eps=eps, mode=mode, s=s, R=cutoffs[mode], norm=norm,
-                                     iterations=iterations, residual=residual))
-        except SolverError as exc:
-            raise SweepAbortedError(
-                f"sweep row h = {h} failed: {exc}", partial_rows=rows, failed_h=h
-            ) from exc
+
+    def sector_norms(h, sector):  # one task: estimates or errors leave it, the LU does not
+        eps = float(eps_rule(h)) if callable(eps_rule) else float(eps_rule)
+        if not (eps > 0.0):
+            raise SolverError(f"eps rule produced nonpositive eps = {eps} at h = {h}")
+        stencil, shift, scaled = sector
+        lu = factor_shifted(_sector_matrix(stencil, shift, h), eps)
+        estimates = {}
+        for mode, (w_left, w_right) in scaled.items():
+            try:
+                estimates[mode] = weighted_resolvent_norm(lu, w_left, w_right, tol, max_iter, seed)
+            except SolverError as exc:
+                estimates[mode] = exc
+        return eps, estimates
+
+    pool = None
+    if max(len(shift) for _, shift, _ in sectors) >= POOL_MIN_UNKNOWNS:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        pool = ThreadPoolExecutor(max_workers=min(cpus or 1, len(hs) * len(sectors)))
+    try:
+        if pool is None:  # each task runs here when the reduction reaches it
+            results = ((sector_norms(h, sector) for sector in sectors) for h in hs)
+        else:
+            tasks = [[pool.submit(sector_norms, h, sector) for sector in sectors] for h in hs]
+            results = ((task.result() for task in row_tasks) for row_tasks in tasks)
+        rows = []
+        for h, row_results in zip(hs, results):
+            try:
+                found = dict.fromkeys(modes, (0.0, 0, 0.0))
+                for (stencil, shift, scaled), (eps, estimates) in zip(sectors, row_results):
+                    for mode, est in estimates.items():
+                        best, used, resid = found[mode]
+                        if isinstance(est, SolverError) or est.iterations > max_iter - used:
+                            # the one-thread outcome under the row's remaining budget
+                            lu = factor_shifted(_sector_matrix(stencil, shift, h), eps)
+                            found[mode] = _sector_step(lu, found[mode], *scaled[mode],
+                                                       tol, max_iter, seed)
+                        else:
+                            found[mode] = (max(best, est.value), used + est.iterations,
+                                           max(resid, est.residual))
+                for mode, (norm, iterations, residual) in found.items():
+                    rows.append(SweepRow(h=h, eps=eps, mode=mode, s=s, R=cutoffs[mode],
+                                         norm=norm, iterations=iterations, residual=residual))
+            except SolverError as exc:
+                raise SweepAbortedError(
+                    f"sweep row h = {h} failed: {exc}", partial_rows=rows, failed_h=h
+                ) from exc
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return {mode: SweepResult(rows=tuple(r for r in rows if r.mode == mode)) for mode in modes}

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,14 @@ def small_box():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves a Python thread running, such as a sweep's
+    pool left alive on an error path."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before]
+    if leaked:
+        pytest.fail(f"threads still running after the test: {leaked}")

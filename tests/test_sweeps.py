@@ -1,4 +1,6 @@
 import itertools
+import os
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,6 +45,17 @@ def test_rows_follow_descending_hs(sweep_box, zero_field):
     result = _interior(zero_field, 1.0, 0.6, hs, eps_rule=1e-2, disc=sweep_box)
     assert [r.h for r in result.rows] == hs
     assert all(r.mode == "interior" and r.R is None for r in result.rows)
+
+
+@pytest.mark.parametrize("h", [-0.4, 0.0, float("nan")])
+def test_nonpositive_hs_rejected(sweep_box, zero_field, monkeypatch, h):
+    # -0.4 used to give the h = 0.4 norm again, 0 a norm that broke the
+    # poly fit, and nan ran into a singular LU
+    factored = []
+    monkeypatch.setattr(resolvent, "factor_shifted", lambda *args: factored.append(args))
+    with pytest.raises(ValueError, match="hs must be positive"):
+        _interior(zero_field, 1.0, 0.6, [0.4, h], eps_rule=1e-2, disc=sweep_box)
+    assert not factored
 
 
 def test_ascending_hs_rejected(sweep_box, zero_field):
@@ -131,6 +144,21 @@ def test_determinism(sweep_box, zero_field):
     assert [r.norm for r in a.rows] == [r.norm for r in b.rows]
 
 
+def test_abort_order_under_concurrency(sweep_box, zero_field, monkeypatch):
+    # the h = 0.22 tasks run alongside and succeed, but the row that failed
+    # first in row order is the one reported, with only the rows before it
+    monkeypatch.setattr(resolvent, "POOL_MIN_UNKNOWNS", 0)
+
+    def eps_rule(h):
+        return -1.0 if h == 0.3 else 1e-2
+
+    with pytest.raises(SweepAbortedError) as err:
+        sweep_h(zero_field, 1.0, 0.6, [0.4, 0.3, 0.22], eps_rule=eps_rule,
+                modes=["interior", "exterior"], R=0.5, disc=sweep_box)
+    assert err.value.failed_h == 0.3
+    assert [(r.h, r.mode) for r in err.value.partial_rows] == [(0.4, "interior"), (0.4, "exterior")]
+
+
 def test_row_failure_aborts_with_partial(sweep_box, zero_field):
     def eps_rule(h):
         return 1e-2 if h > 0.25 else -1.0
@@ -166,18 +194,30 @@ def test_plot_pairs_shape(sweep_box, zero_field):
     assert pairs[0, 1] == pytest.approx(np.log(result.rows[0].norm))
 
 
-def test_baseline_sweep_stops_once_converged(monkeypatch):
-    # configs/baseline.json through sweep_h: each sector's Lanczos stops as
-    # soon as its top Ritz residual is within tol/10.  A fixed 20-vector
-    # Arnoldi took 22 full-box applications on every row, 220 over both
-    # modes; the bound is 0.8 of that, counted in box-sized applications
-    # (a sector application weighs its size over the box size)
+def _baseline_sweep():
+    """sweep_h's arguments for configs/baseline.json: the two-mode ring."""
     cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "baseline.json"))
     rcfg = cfg["resolvent"]
     pot = {k: v for k, v in rcfg["potential"].items() if k not in ("id", "c")}
     disc = BoxDiscretization(L=rcfg["box"]["half_width"], n=rcfg["box"]["n"])
     V = catalog_potential(rcfg["potential"]["id"], cfg["problem"]["delta0"], disc,
                           E=cfg["problem"]["E"], **pot)
+    return rcfg, dict(
+        V=V, E=cfg["problem"]["E"], s=rcfg["s"], hs=rcfg["hs"],
+        eps_rule=lambda h: h / rcfg["eps"]["value"], modes=rcfg["modes"], disc=disc,
+        R=pot["rho"] + 3.0 * pot["sigma"], tol=rcfg["tol"], max_iter=rcfg["max_iter"],
+        seed=cfg["seed"],
+    )
+
+
+def test_baseline_sweep_stops_once_converged(monkeypatch):
+    # configs/baseline.json through sweep_h: each sector's Lanczos stops as
+    # soon as its top Ritz residual is within tol/10.  A fixed 20-vector
+    # Arnoldi took 22 full-box applications on every row, 220 over both
+    # modes; the bound is 0.8 of that, counted in box-sized applications
+    # (a sector application weighs its size over the box size)
+    rcfg, args = _baseline_sweep()
+    disc = args["disc"]
     work = []
     norm = resolvent.weighted_resolvent_norm
 
@@ -187,11 +227,7 @@ def test_baseline_sweep_stops_once_converged(monkeypatch):
         return est
 
     monkeypatch.setattr(resolvent, "weighted_resolvent_norm", counting_norm)
-    results = sweep_h(
-        V, cfg["problem"]["E"], rcfg["s"], rcfg["hs"], eps_rule=lambda h: h / rcfg["eps"]["value"],
-        modes=rcfg["modes"], disc=disc, R=pot["rho"] + 3.0 * pot["sigma"],
-        tol=rcfg["tol"], max_iter=rcfg["max_iter"], seed=cfg["seed"],
-    )
+    results = sweep_h(**args)
     rows = [row for result in results.values() for row in result.rows]
     assert len(rows) == 10
     assert all(row.residual <= rcfg["tol"] for row in rows)
@@ -285,3 +321,97 @@ def test_sector_cap_error_carries_row_estimate(sweep_box):
     assert cause.iterations == row.iterations - 1
     assert abs(cause.estimate - row.norm) <= 1e-6 * row.norm
     assert cause.estimate <= (1.0 + 1e-9) * row.norm
+
+
+# ----------------------------------------------------------------------------
+# the (h, sector) thread pool
+# ----------------------------------------------------------------------------
+
+def _no_symmetry_sweep(n=24):
+    """sweep_h's arguments for a field with no symmetry: one sector, the box."""
+    disc = BoxDiscretization(L=2.0, n=n)
+    V, count = _field(disc, "off_centre")
+    assert count == 1
+    return dict(V=V, E=1.0, s=0.6, hs=[1.0, 0.8, 0.7], eps_rule=lambda h: h / 4.0,
+                modes=["interior", "exterior"], disc=disc, R=1.2, seed=3)
+
+
+def _pool_size(monkeypatch, args) -> int:
+    """max_workers of the pool that one sweep creates, 0 for none."""
+    sizes, pool = [0], resolvent.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(resolvent, "ThreadPoolExecutor", recording_pool)
+    sweep_h(**args)
+    monkeypatch.setattr(resolvent, "ThreadPoolExecutor", pool)
+    return sizes[-1]
+
+
+def test_pool_size_follows_sector_size(monkeypatch):
+    # GIL-bound tasks on small sectors run on the calling thread however
+    # many CPUs there are; from POOL_MIN_UNKNOWNS on, one worker per CPU
+    # and task
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    baseline, small, whole = _baseline_sweep()[1], _no_symmetry_sweep(), _no_symmetry_sweep(48)
+    assert max(len(rep) for _, rep in reflection_sectors(baseline["disc"],
+                                                          baseline["V"].values)) == 1024
+    assert _pool_size(monkeypatch, baseline) == 0
+    assert _pool_size(monkeypatch, small) == 0  # one sector of 576 unknowns
+    assert _pool_size(monkeypatch, whole) == 3  # 2304 unknowns, 3 tasks on 4 CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert _pool_size(monkeypatch, whole) == 2
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("kind", ["baseline_ring", "no_symmetry"])
+def test_pool_size_changes_no_result(monkeypatch, kind, cpus):
+    # these small boxes run on the calling thread; pooled on one worker or
+    # on four, more than this machine may have cores, the rows must be
+    # equal to the last bit
+    args = _baseline_sweep()[1] if kind == "baseline_ring" else _no_symmetry_sweep()
+    unpooled = sweep_h(**args)
+    monkeypatch.setattr(resolvent, "POOL_MIN_UNKNOWNS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert sweep_h(**args) == unpooled
+
+
+def test_concurrent_sweeps_agree(monkeypatch):
+    # constructions are safe to share across threads: two sweeps at once,
+    # each with its own pool, give the rows of one sweep alone
+    monkeypatch.setattr(resolvent, "POOL_MIN_UNKNOWNS", 0)
+    args = _baseline_sweep()[1]
+    expected = sweep_h(**args)
+    results = [None, None]
+
+    def run(i):
+        results[i] = sweep_h(**args)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120.0)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected, expected]
+
+
+def test_pooled_cap_error_matches_one_thread(sweep_box, monkeypatch):
+    # a pooled task runs under the whole max_iter; the row that overruns
+    # its cap is replayed on the calling thread, so the error is the one
+    # the calling thread alone raises
+    V = catalog_potential("trapping_ring", 0.4, sweep_box, E=1.0, A=2.0, rho=0.6, sigma=0.2)
+    args = dict(eps_rule=0.075, disc=sweep_box, seed=5)
+    row = _interior(V, 1.0, 0.6, [0.3], **args).rows[0]
+    errors = []
+    for threshold in (resolvent.POOL_MIN_UNKNOWNS, 0):
+        monkeypatch.setattr(resolvent, "POOL_MIN_UNKNOWNS", threshold)
+        with pytest.raises(SweepAbortedError) as err:
+            _interior(V, 1.0, 0.6, [0.4, 0.3], max_iter=row.iterations - 1, **args)
+        cause = err.value.__cause__
+        errors.append((str(err.value), err.value.failed_h, err.value.partial_rows,
+                       cause.estimate, cause.iterations))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == 0.3
