@@ -1,6 +1,10 @@
 """carlab: Carleman weight construction, inequality certification, and
-weighted resolvent-norm sweeps for 2D semiclassical Schrodinger operators."""
+weighted resolvent-norm sweeps for 2D semiclassical Schrodinger operators.
 
+The resolvent names below load scipy on first use (PEP 562), so the
+construction and the verifiers run on numpy alone."""
+
+from .box import BoxDiscretization, weight_diag
 from .errors import (
     CarlabError,
     CertificationError,
@@ -13,18 +17,6 @@ from .errors import (
     SweepAbortedError,
 )
 from .potentials import PotentialSample, catalog_potential, catalog_radial
-from .resolvent import (
-    BoxDiscretization,
-    DiscreteOperator,
-    NormEstimate,
-    SweepResult,
-    assemble,
-    dense_resolvent_norm,
-    factor_shifted,
-    sweep_h,
-    weight_diag,
-    weighted_resolvent_norm,
-)
 from .verify import (
     CombinedResult,
     EffectivePotentialTable,
@@ -62,3 +54,26 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
+
+_RESOLVENT = (
+    "DiscreteOperator",
+    "NormEstimate",
+    "SweepResult",
+    "assemble",
+    "dense_resolvent_norm",
+    "factor_shifted",
+    "sweep_h",
+    "weighted_resolvent_norm",
+)
+
+
+def __getattr__(name):
+    if name in _RESOLVENT:
+        from . import resolvent
+
+        return getattr(resolvent, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *_RESOLVENT])

@@ -22,8 +22,8 @@ from .errors import (
     SolverError,
 )
 from . import reports
+from .box import BoxDiscretization
 from .potentials import catalog_potential, catalog_radial
-from .resolvent import BoxDiscretization, sweep_h
 from .verify import (
     gluing_constants,
     shift_radius_bound,
@@ -362,6 +362,8 @@ def _check_fit_target(pot_id, mode, result):
 
 
 def cmd_sweep(cfg, out: Path, assert_fits: bool = False) -> int:
+    from .resolvent import sweep_h  # the only command that needs scipy
+
     p = _params(cfg)
     rcfg = cfg["resolvent"]
     disc = BoxDiscretization(L=float(rcfg["box"]["half_width"]), n=int(rcfg["box"]["n"]))

@@ -10,6 +10,16 @@ from itertools import islice
 
 import numpy as np
 
+from .errors import ConstructionError
+
+# The kernel's arrays and lists grow with the substep count, and a solve
+# peaks at about 120 bytes per substep (measured with 1e5 to 4e6 substeps):
+# the float64 abscissae and psi values, and psi again as Python floats for
+# the loop.  A 512 MiB budget at 128 bytes a substep allows 2**29 / 2**7 =
+# 2**22 substeps, about 4 s of the loop; the finest tested solve takes 23,790.
+MAX_SUBSTEPS = 2**22
+
+
 def _abscissae(start, dt, m):
     """Substep ends and midpoints of every span, in integration order.
 
@@ -41,12 +51,20 @@ def riccati_backward(r, h, substep, psi):
     called once on all substep ends and once on all midpoints, so substep
     abscissae see exact values, never interpolants.
 
-    Returns u sampled at the nodes of r.
+    Returns u sampled at the nodes of r.  Raises ConstructionError, before
+    allocating, when the substep count is not finite or above MAX_SUBSTEPS.
     """
     r = np.asarray(r, dtype=float)
     start = r[:0:-1]  # spans in integration order: r[n-1] down to r[n-2], ...
     span = start - r[-2::-1]
-    m = np.maximum(np.ceil(span / substep), 1.0).astype(np.intp)
+    steps = np.maximum(np.ceil(span / substep), 1.0)
+    total = steps.sum()
+    if not (np.isfinite(total) and total <= MAX_SUBSTEPS):
+        raise ConstructionError(
+            f"Riccati solve needs {total:.3g} RK4 substeps, more than the "
+            f"{MAX_SUBSTEPS} allowed (raise h or lower substep_factor)"
+        )
+    m = steps.astype(np.intp)
     dt = -span / m
     p_end, p_mid = (psi(x).tolist() for x in _abscissae(start, dt, m))
     out = []

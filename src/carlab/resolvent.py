@@ -1,7 +1,8 @@
 """Discretized operator, its shifted LU, weighted norms, and h-sweeps.
 
 P = -h^2 Lap + V - E on a truncated box with homogeneous Dirichlet walls,
-5-point stencil.  The -i*eps shift is applied at factorization time by
+5-point stencil; the box and its weight live in box.py, which needs numpy
+only, and this is the one module that loads scipy.  The -i*eps shift is applied at factorization time by
 factor_shifted, and one LU of P - i*eps serves every right-hand side.
 The weighted norm takes any LU: sweeps factor one matrix per sector of the
 square's symmetries (an eighth of the box for radial inputs) and hand that
@@ -23,6 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
 
+from .box import BoxDiscretization, weight_diag
 from .errors import (
     ConstructionError,
     PowerIterationError,
@@ -45,48 +47,6 @@ _STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))  # for _to
 # was slower than none; n = 128 (4096) gained a quarter.  Sizes in between
 # were not measured.
 POOL_MIN_UNKNOWNS = 2048
-
-
-@dataclass(frozen=True)
-class BoxDiscretization:
-    """Square [-L, L]^2 with n nodes per axis, spacing a = 2L/(n-1).
-
-    The axis is odd bit for bit with ends at +-L, and odd n places a node
-    exactly at the origin, which the shift and quadratic-form fixtures rely
-    on; sweeps accept any n >= 4.
-    """
-
-    L: float
-    n: int
-
-    def __post_init__(self):
-        if not (self.L > 0.0):
-            raise ConstructionError(f"box half-width must be positive, got {self.L}")
-        if self.n < 4:
-            raise ConstructionError(f"need at least 4 nodes per axis, got {self.n}")
-
-    @property
-    def a(self) -> float:
-        return 2.0 * self.L / (self.n - 1)
-
-    @property
-    def size(self) -> int:
-        return self.n * self.n
-
-    def axis(self) -> np.ndarray:
-        x = np.linspace(-self.L, self.L, self.n)
-        return 0.5 * (x - x[::-1])  # moves no node by more than 2 ulp of L
-
-    def mesh(self):
-        x = self.axis()
-        return np.meshgrid(x, x, indexing="ij")
-
-    def radii(self) -> np.ndarray:
-        X, Y = self.mesh()
-        return np.hypot(X, Y).ravel()
-
-    def cell_area(self) -> float:
-        return self.a * self.a
 
 
 @dataclass(frozen=True)
@@ -162,13 +122,6 @@ def apply_shifted(op: DiscreteOperator, eps: float, v: np.ndarray) -> np.ndarray
 # ----------------------------------------------------------------------------
 # weighted norms
 # ----------------------------------------------------------------------------
-
-def weight_diag(disc: BoxDiscretization, s: float, R: float | None = None) -> np.ndarray:
-    """Diagonal weight (1+|x|)^-s per node, optionally cut to the exterior |x| >= R."""
-    r = disc.radii()
-    vals = (1.0 + r) ** (-s)
-    return vals if R is None else np.where(r >= R, vals, 0.0)
-
 
 def _top_ritz_pair(alpha: list, beta: list) -> tuple:
     """Top eigenpair (theta, s) of the symmetric tridiagonal (alpha, beta):

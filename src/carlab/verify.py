@@ -9,16 +9,17 @@ potential.
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .box import BoxDiscretization
 from .errors import (
     CertificationError,
     ConstructionError,
     GridMismatchError,
 )
 from .potentials import PotentialSample
-from .resolvent import BoxDiscretization, DiscreteOperator, apply_shifted
 from .weights import (
     PsiSpec,
     RadialGrid,
@@ -31,6 +32,9 @@ from .weights import (
     phi_at,
     psi_inequality_margin,
 )
+
+if TYPE_CHECKING:  # resolvent loads scipy; an assembled operator has loaded it already
+    from .resolvent import DiscreteOperator
 
 DEFAULT_TOL = 1e-12
 
@@ -377,7 +381,7 @@ def _check_box_for_weights(disc: BoxDiscretization, wt: WeightTables):
 def carleman_quadratic_form_test(
     v: np.ndarray,
     wt: WeightTables,
-    op: DiscreteOperator,
+    op: "DiscreteOperator",
     eps: float = 0.0,
 ) -> QuadFormResult:
     """Evaluate both sides of the exponential-weight estimate on one sample.
@@ -387,6 +391,8 @@ def carleman_quadratic_form_test(
     rhs2 = sum e^(2 phi/h) |v|^2 da
     implied_c = lhs / (rhs1/h^2 + eps rhs2/h); 0 when v = 0.
     """
+    from .resolvent import apply_shifted  # op was assembled there, so this loads nothing
+
     if eps < 0.0:
         raise ConstructionError(f"eps must be nonnegative, got {eps}")
     disc = op.disc
@@ -422,7 +428,7 @@ class CombinedResult:
 def combined_estimate_test(
     v: np.ndarray,
     wt: WeightTables,
-    op: DiscreteOperator,
+    op: "DiscreteOperator",
     x0,
     eps: float,
 ) -> CombinedResult:
@@ -435,6 +441,8 @@ def combined_estimate_test(
     makes it hold for this v.  The proof renormalizes to eps <= h, which is
     enforced as a precondition.
     """
+    from .resolvent import apply_shifted  # op was assembled there, so this loads nothing
+
     h = op.h
     if eps > h:
         raise ConstructionError(f"combined estimate needs eps <= h, got eps = {eps}, h = {h}")

@@ -324,6 +324,8 @@ def radial_grid(
     (refines toward the origin pole and toward the kink at R0),
     endpoint-clustered on [R0, R1] (psi' jumps there), uniform on
     [R1, r_max].  r_max defaults to 2*R1."""
+    if min(n_inner, n_mid, n_outer) < 5:
+        raise ConstructionError("need at least 5 nodes per grid segment")
     if r_max is None:
         r_max = 2.0 * spec.R1
     if r_max < 2.0 * spec.R1:

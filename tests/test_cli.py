@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import carlab
+from carlab import kernels
 from carlab.cli import DEFAULT_CONFIG, load_config, main
 from carlab.weights import PsiSearch
 
@@ -295,6 +296,29 @@ def test_overflowing_default_r1_exits_two(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["weights", "verify"])
+@pytest.mark.parametrize("weights, message", [
+    ({"h": 1e-12}, "RK4 substeps, more than"),  # once a MemoryError, asking for 1.26 PiB
+    ({"h": 1e-20}, "RK4 substeps, more than"),  # once numpy's "array is too big"
+    ({"substep_factor": 1e300}, "RK4 substeps, more than"),  # once "negative dimensions"
+    ({"grid": {"n_inner": 0, "n_mid": 0, "n_outer": 0}},  # once an IndexError in radial_grid
+     "need at least 5 nodes per grid segment"),
+    ({"grid": {"n_mid": 4}}, "need at least 5 nodes per grid segment"),
+], ids=["h-1e-12", "h-1e-20", "substep_factor-1e300", "grid-zeros", "grid-n_mid-4"])
+def test_unbuildable_weights_exit_two_before_allocating(tmp_path, capsys, monkeypatch,
+                                                        command, weights, message):
+    def no_abscissae(*args):
+        raise AssertionError("the Riccati kernel allocated its abscissae")
+
+    monkeypatch.setattr(kernels, "_abscissae", no_abscissae)
+    cfg = write_cfg(tmp_path, {"weights": weights})
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_report_aggregates(tmp_path):
     cfg = write_cfg(tmp_path, CERTIFIED)
     out = tmp_path / "out"
@@ -336,17 +360,68 @@ def test_no_command_exits_one(capsys):
     assert main([]) == 1
 
 
-def test_console_entry_point():
-    # the child imports the same carlab as this process, installed or not
+def fresh_python(*args):
+    """A new interpreter on the same carlab as this process, installed or not."""
     src = str(Path(carlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-m", "carlab", "--help-config"],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
+                          env=env)
+
+
+def test_console_entry_point():
+    proc = fresh_python("-m", "carlab", "--help-config")
     assert proc.returncode == 0
     assert "seed" in proc.stdout
+
+
+# `import carlab`, then `python -m carlab` on the given arguments; the last
+# line of stdout holds the exit code and the scipy modules then loaded
+RUN_MAIN = """
+import json, runpy, sys
+import carlab
+sys.argv = ["carlab", *sys.argv[1:]]
+try:
+    runpy.run_module("carlab", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def run_main(*argv):
+    proc = fresh_python("-c", RUN_MAIN, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_construction_commands_load_no_scipy(tmp_path):
+    # the weights, their certificates and the summary are numpy work; only
+    # a sweep's sparse LU needs scipy
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "certified.json"
+    for command in ("weights", "verify", "report"):
+        assert run_main(command, "--config", cfg, "--out", tmp_path) == [0, []], command
+    assert (tmp_path / "summary.json").exists()
+    assert run_main("--help-config") == [0, []]
+
+
+def test_sweep_loads_scipy_when_it_runs(tmp_path):
+    cfg = write_cfg(tmp_path, BASELINE_SWEEP)
+    code, loaded = run_main("sweep", "--config", cfg, "--out", tmp_path / "out")
+    assert code == 0 and "scipy.sparse.linalg" in loaded
+    assert (tmp_path / "out" / "sweep_interior.csv").exists()
+
+
+def test_readme_library_names_listed_and_importable():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library entry points")[1].split("from carlab import (")[1]
+    names = re.findall(r"\w+", block.split(")")[0])
+    code = (f"import carlab; print(sorted(set({names!r}) - set(dir(carlab))))\n"
+            f"from carlab import {', '.join(names)}")
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert "sweep_h" in names and "BoxDiscretization" in names
 
 
 def test_assert_fits_flag(tmp_path):
