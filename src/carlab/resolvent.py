@@ -2,15 +2,17 @@
 
 P = -h^2 Lap + V - E on a truncated box with homogeneous Dirichlet walls,
 5-point stencil; the box and its weight live in box.py, which needs numpy
-only, and this is the one module that loads scipy.  The -i*eps shift is applied at factorization time by
-factor_shifted, and one LU of P - i*eps serves every right-hand side.
+only, and this is the one module that loads scipy.  The -i*eps shift is
+applied at factorization time by factor_shifted, and one LU of P - i*eps
+serves every right-hand side.
 The weighted norm takes any LU: sweeps factor one matrix per sector of the
 square's symmetries (an eighth of the box for radial inputs) and hand that
 LU to every mode and, as its trans="H" solve, to the Lanczos norm's adjoint.
 A sweep's (h, sector) problems are independent, and SuperLU releases the
 GIL while it factors and solves, so sweep_h runs them on one thread per
-available CPU when the sectors are large enough to pay for it, and always
-reduces their results in row order on the calling thread.
+available CPU when the sectors are large enough to pay for it.  Each task
+returns its estimates or raises, and the calling thread reduces them in
+row order.
 """
 
 import itertools
@@ -59,6 +61,10 @@ class DiscreteOperator:
 
     def shifted(self, eps: float) -> sp.csc_matrix:
         return _shifted(self.matrix, eps)
+
+    def apply_shifted(self, eps: float, v: np.ndarray) -> np.ndarray:
+        """(P - i*eps) v without factorization."""
+        return self.matrix @ v - 1j * eps * v
 
 
 def _shifted(matrix, eps: float) -> sp.csc_matrix:
@@ -112,11 +118,6 @@ def assemble(
     lap = sp.kron(lap1, eye) + sp.kron(eye, lap1)
     mat = (h * h * lap + sp.diags(v - E)).tocsc()
     return DiscreteOperator(matrix=mat, h=h, disc=disc)
-
-
-def apply_shifted(op: DiscreteOperator, eps: float, v: np.ndarray) -> np.ndarray:
-    """(P - i*eps) v without factorization."""
-    return op.matrix @ v - 1j * eps * v
 
 
 # ----------------------------------------------------------------------------
@@ -277,19 +278,6 @@ def _sector_matrix(stencil: sp.csc_matrix, shift: np.ndarray, h: float) -> sp.cs
     return mat
 
 
-def _sector_step(lu, row, w_left, w_right, tol, max_iter, seed) -> tuple:
-    """A row's (norm, applications, residual) after one more sector: largest
-    norm and residual, applications summed under one max_iter budget."""
-    best, used, resid = row
-    try:
-        est = weighted_resolvent_norm(lu, w_left, w_right, tol, max_iter - used, seed)
-    except PowerIterationError as exc:
-        top = max(best, exc.estimate)
-        raise PowerIterationError(f"{exc} in a sector; row estimate {top:.6e}",
-                                  estimate=top, iterations=used + exc.iterations) from exc
-    return max(best, est.value), used + est.iterations, max(resid, est.residual)
-
-
 # ----------------------------------------------------------------------------
 # sweeps
 # ----------------------------------------------------------------------------
@@ -374,16 +362,16 @@ def sweep_h(
     A mode whose weight is zero on the whole box raises ConstructionError.
 
     Each (h, sector) task factors its sector matrix, runs every mode under
-    the whole max_iter and returns only the estimates, so at most one LU
-    per thread is alive.  Once the largest sector has POOL_MIN_UNKNOWNS
-    unknowns, the tasks run on a thread pool with one worker per CPU the
-    process may use (eps_rule is then called from the workers), and no
-    worker outlives the call; smaller ones run on the calling thread.  The
-    calling thread reduces the results in row, sector and mode order; a
-    sector that failed or overran the row's remaining budget is replayed
-    there on a fresh LU under that budget.  Rows, errors and
-    SweepAbortedError's partial rows are therefore exactly those of one
-    thread.
+    the whole max_iter and returns only the estimates or raises, so at most
+    one LU per thread is alive.  Once the largest sector has
+    POOL_MIN_UNKNOWNS unknowns, the tasks run on a thread pool with one
+    worker per CPU the process may use (eps_rule is then called from the
+    workers), and no worker outlives the call; smaller ones run on the
+    calling thread.  The calling thread takes the results and errors in row
+    and sector order and reduces them; a mode whose summed iterations pass
+    max_iter raises PowerIterationError with the row's largest norm so far
+    as its estimate.  Rows, errors and SweepAbortedError's partial rows are
+    therefore exactly those of one thread.
     """
     hs = [float(h) for h in hs]
     if not hs:
@@ -420,45 +408,36 @@ def sweep_h(
         sectors.append(((lap[rep] @ S).tocsc(), V.values[rep] - E,
                         {mode: (w[rep] * k, w[rep] / k) for mode, w in weights.items()}))
 
-    def sector_norms(h, sector):  # one task: estimates or errors leave it, the LU does not
+    def sector_norms(task):  # one task: the estimates leave it, the LU does not
+        h, (stencil, shift, scaled) = task
         eps = float(eps_rule(h)) if callable(eps_rule) else float(eps_rule)
         if not (eps > 0.0):
             raise SolverError(f"eps rule produced nonpositive eps = {eps} at h = {h}")
-        stencil, shift, scaled = sector
         lu = factor_shifted(_sector_matrix(stencil, shift, h), eps)
-        estimates = {}
-        for mode, (w_left, w_right) in scaled.items():
-            try:
-                estimates[mode] = weighted_resolvent_norm(lu, w_left, w_right, tol, max_iter, seed)
-            except SolverError as exc:
-                estimates[mode] = exc
-        return eps, estimates
+        return eps, {mode: weighted_resolvent_norm(lu, w_left, w_right, tol, max_iter, seed)
+                     for mode, (w_left, w_right) in scaled.items()}
 
     pool = None
     if max(len(shift) for _, shift, _ in sectors) >= POOL_MIN_UNKNOWNS:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         pool = ThreadPoolExecutor(max_workers=min(cpus or 1, len(hs) * len(sectors)))
     try:
-        if pool is None:  # each task runs here when the reduction reaches it
-            results = ((sector_norms(h, sector) for sector in sectors) for h in hs)
-        else:
-            tasks = [[pool.submit(sector_norms, h, sector) for sector in sectors] for h in hs]
-            results = ((task.result() for task in row_tasks) for row_tasks in tasks)
+        # the builtin map runs each task when the reduction reaches it
+        results = (map if pool is None else pool.map)(sector_norms,
+                                                       itertools.product(hs, sectors))
         rows = []
-        for h, row_results in zip(hs, results):
+        for h in hs:
             try:
                 found = dict.fromkeys(modes, (0.0, 0, 0.0))
-                for (stencil, shift, scaled), (eps, estimates) in zip(sectors, row_results):
+                for eps, estimates in itertools.islice(results, len(sectors)):
                     for mode, est in estimates.items():
                         best, used, resid = found[mode]
-                        if isinstance(est, SolverError) or est.iterations > max_iter - used:
-                            # the one-thread outcome under the row's remaining budget
-                            lu = factor_shifted(_sector_matrix(stencil, shift, h), eps)
-                            found[mode] = _sector_step(lu, found[mode], *scaled[mode],
-                                                       tol, max_iter, seed)
-                        else:
-                            found[mode] = (max(best, est.value), used + est.iterations,
-                                           max(resid, est.residual))
+                        best, used = max(best, est.value), used + est.iterations
+                        if used > max_iter:
+                            raise PowerIterationError(
+                                f"max_iter exceeded ({max_iter}) over the row's sectors; "
+                                f"estimate {best:.6e}", estimate=best, iterations=max_iter)
+                        found[mode] = best, used, max(resid, est.residual)
                 for mode, (norm, iterations, residual) in found.items():
                     rows.append(SweepRow(h=h, eps=eps, mode=mode, s=s, R=cutoffs[mode],
                                          norm=norm, iterations=iterations, residual=residual))

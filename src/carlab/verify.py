@@ -22,7 +22,6 @@ from .errors import (
 from .potentials import PotentialSample
 from .weights import (
     PsiSpec,
-    RadialGrid,
     WeightTables,
     build_w,
     eval_g,
@@ -93,8 +92,6 @@ def verify_psi_inequality(
     potential=None uses the worst-case envelopes; a radial-mode sample must
     share the nodes.
     """
-    if isinstance(nodes, RadialGrid):
-        nodes = nodes.nodes
     r = np.asarray(nodes, dtype=float)
     if potential is None:
         margins = psi_inequality_margin(spec, r)
@@ -183,7 +180,6 @@ def e4_margin(
 
 def verify_E4_inequality(
     wt: WeightTables,
-    nodes=None,
     potential: PotentialSample | None = None,
     hs=None,
     tolerance: float = DEFAULT_TOL,
@@ -195,10 +191,7 @@ def verify_E4_inequality(
     """
     spec = wt.spec
     h1 = wt.h1
-    if nodes is None:
-        nodes = wt.grid.nodes
-    elif isinstance(nodes, RadialGrid):
-        nodes = nodes.nodes
+    nodes = wt.grid.nodes
     if hs is None:
         hs = h1 * 0.5 ** np.arange(7, -1, -1)
     hs = np.atleast_1d(np.asarray(hs, dtype=float))
@@ -391,8 +384,6 @@ def carleman_quadratic_form_test(
     rhs2 = sum e^(2 phi/h) |v|^2 da
     implied_c = lhs / (rhs1/h^2 + eps rhs2/h); 0 when v = 0.
     """
-    from .resolvent import apply_shifted  # op was assembled there, so this loads nothing
-
     if eps < 0.0:
         raise ConstructionError(f"eps must be nonnegative, got {eps}")
     disc = op.disc
@@ -407,7 +398,7 @@ def carleman_quadratic_form_test(
     expw = np.exp(2.0 * phi_at(wt, r) / h)
     _, wp, _ = build_w(wt.spec, r)
     m2 = eval_m(wt.spec.delta, r) ** 2
-    pv = apply_shifted(op, eps, v)
+    pv = op.apply_shifted(eps, v)
     lhs = float(np.sum(wp * expw * np.abs(v) ** 2) * da)
     rhs1 = float(np.sum(m2 * expw * np.abs(pv) ** 2) * da)
     rhs2 = float(np.sum(expw * np.abs(v) ** 2) * da)
@@ -441,8 +432,6 @@ def combined_estimate_test(
     makes it hold for this v.  The proof renormalizes to eps <= h, which is
     enforced as a precondition.
     """
-    from .resolvent import apply_shifted  # op was assembled there, so this loads nothing
-
     h = op.h
     if eps > h:
         raise ConstructionError(f"combined estimate needs eps <= h, got eps = {eps}, h = {h}")
@@ -461,7 +450,7 @@ def combined_estimate_test(
     m2 = eval_m(wt.spec.delta, r) ** 2
     inv_m2 = 1.0 / m2
     av2 = np.abs(v) ** 2
-    pv2 = np.abs(apply_shifted(op, eps, v)) ** 2
+    pv2 = np.abs(op.apply_shifted(eps, v)) ** 2
     lhs_i = math.exp(-wt.C0 / h) * float(np.sum(inv_m2 * av2 * (r <= R)) * da)
     lhs_e = float(np.sum(inv_m2 * av2 * (r >= R)) * da)
     rhs1 = float(np.sum(m2 * pv2) * da)

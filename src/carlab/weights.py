@@ -86,7 +86,7 @@ class PsiSpec:
                 f"need R1 > R0 > 0, got R0 = {self.R0}, R1 = {self.R1}"
             )
         res0, res1 = continuity_residuals(self)
-        if max(res0, res1) > CONTINUITY_TOL:
+        if not (res0 <= CONTINUITY_TOL and res1 <= CONTINUITY_TOL):
             raise ConstructionError(
                 f"continuity residuals ({res0:.3e}, {res1:.3e}) exceed {CONTINUITY_TOL}"
             )
@@ -493,7 +493,7 @@ def solve_phi_riccati(
     phi_ext = np.concatenate([[0.0], np.cumsum(0.5 * (u_ext[1:] + u_ext[:-1]) * np.diff(r_ext))])
     phi = phi_ext[1:]
     resid = riccati_residual(spec, grid, h, u)
-    if resid > residual_tol:
+    if not (resid <= residual_tol):
         raise ConstructionError(
             f"residual above tolerance: {resid:.3e} > {residual_tol:.1e} "
             "(refine the grid or lower substep_factor)"

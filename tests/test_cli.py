@@ -284,6 +284,15 @@ def test_invalid_params_exit_two_and_leave_nothing(tmp_path):
     assert not out.exists()
 
 
+def test_nan_riccati_residual_exits_two_and_leaves_nothing(tmp_path, capsys, monkeypatch):
+    # the residual gate fails on NaN, before any file is written
+    monkeypatch.setattr(carlab.weights, "riccati_residual", lambda *args: float("nan"))
+    out = tmp_path / "out"
+    assert run(["weights", "--out", out]) == 2
+    assert "construction error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["weights", "verify"])
 def test_overflowing_default_r1_exits_two(tmp_path, capsys, command):
     # (1 + E delta0/4)^(1/delta) leaves the float range; this once ended in

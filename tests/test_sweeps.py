@@ -308,9 +308,8 @@ def test_sector_bases_orthonormal_and_decoupled(n):
 
 
 def test_sector_cap_error_carries_row_estimate(sweep_box):
-    # a cap that falls one application short of the row's total stops the
-    # last sector before its certificate: the error must carry the largest
-    # of the finished sector norms and the running top Ritz value
+    # a cap that falls one application short of the row's total fails the
+    # row: the error must carry the largest of its sector norms
     V = catalog_potential("trapping_ring", 0.4, sweep_box, E=1.0, A=2.0, rho=0.6, sigma=0.2)
     row = _interior(V, 1.0, 0.6, [0.3], eps_rule=0.075, disc=sweep_box, seed=5).rows[0]
     with pytest.raises(SweepAbortedError) as err:
@@ -399,19 +398,21 @@ def test_concurrent_sweeps_agree(monkeypatch):
 
 
 def test_pooled_cap_error_matches_one_thread(sweep_box, monkeypatch):
-    # a pooled task runs under the whole max_iter; the row that overruns
-    # its cap is replayed on the calling thread, so the error is the one
-    # the calling thread alone raises
+    # a pooled task runs under the whole max_iter, and the calling thread
+    # checks each row's sum against it, so the error is the one the calling
+    # thread alone raises; a cap of 5 stops the first sector's own Lanczos,
+    # whose error the pool re-raises
     V = catalog_potential("trapping_ring", 0.4, sweep_box, E=1.0, A=2.0, rho=0.6, sigma=0.2)
     args = dict(eps_rule=0.075, disc=sweep_box, seed=5)
     row = _interior(V, 1.0, 0.6, [0.3], **args).rows[0]
     errors = []
     for threshold in (resolvent.POOL_MIN_UNKNOWNS, 0):
         monkeypatch.setattr(resolvent, "POOL_MIN_UNKNOWNS", threshold)
-        with pytest.raises(SweepAbortedError) as err:
-            _interior(V, 1.0, 0.6, [0.4, 0.3], max_iter=row.iterations - 1, **args)
-        cause = err.value.__cause__
-        errors.append((str(err.value), err.value.failed_h, err.value.partial_rows,
-                       cause.estimate, cause.iterations))
-    assert errors[0] == errors[1]
-    assert errors[0][1] == 0.3
+        for max_iter in (row.iterations - 1, 5):
+            with pytest.raises(SweepAbortedError) as err:
+                _interior(V, 1.0, 0.6, [0.4, 0.3], max_iter=max_iter, **args)
+            cause = err.value.__cause__
+            errors.append((str(err.value), err.value.failed_h, err.value.partial_rows,
+                           cause.estimate, cause.iterations))
+    assert errors[:2] == errors[2:]
+    assert [error[1] for error in errors[:2]] == [0.3, 0.4]
