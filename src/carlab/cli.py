@@ -6,6 +6,7 @@ Exit code contract: 0 success, 1 usage/config, 2 construction,
 
 import argparse
 import copy
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -71,7 +72,9 @@ SCHEMA = {
         "r1": ("auto", '"auto" | float', "continuity-exact construction at this R1;\n"
                "auto: 1+R1 = 2 (1 + E delta0/4)^(1/delta)"),
         "search": (None, "null | search", "if given, search R1 for certified constants:\n{"
-                   + ", ".join(f.name for f in fields(PsiSearch)) + "}"),
+                   + ", ".join(f.name for f in fields(PsiSearch)) + "};\n"
+                   "margin_nodes and span are checked but not read: the\n"
+                   "search certifies each R1 on all of r >= 0"),
         "h": ("auto", '"auto" | float', "table h; auto = h1/2"),
         "grid": {
             "n_inner": (400, "int >= 0", "nodes on [r_min, R0], at least 5"),
@@ -430,6 +433,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="carlab",

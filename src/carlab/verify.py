@@ -145,6 +145,26 @@ def effective_potential(V: PotentialSample, wt: WeightTables) -> EffectivePotent
 # E/4 lower bound on d/dr (w (E - V_phi))
 # ----------------------------------------------------------------------------
 
+def _e4_parts(spec: PsiSpec, r: np.ndarray, potential: PotentialSample | None):
+    """The h-independent parts of e4_margin: (A + B, g, w', mask of r > R0)."""
+    E = spec.E
+    w, wp, _ = build_w(spec, r)
+    if potential is None:
+        rho = 1.0 + r
+        V = rho ** (-spec.delta0)
+        dV = rho ** (-1.0 - spec.delta0)
+    else:
+        V = potential.values
+        dV = potential.radial_derivative
+    ab = (E - V + eval_psi(spec, r)) * wp + (-dV + eval_psi_prime(spec, r)) * w
+    return ab, eval_g(spec, np.maximum(r, spec.R0)), wp, r > spec.R0
+
+
+def _e4_at(spec: PsiSpec, parts, h: float) -> np.ndarray:
+    ab, g, wp, outer = parts
+    return ab + np.where(outer, h * h * g * wp, 0.0) - (spec.E / 4.0) * wp
+
+
 def e4_margin(
     spec: PsiSpec,
     h: float,
@@ -160,22 +180,7 @@ def e4_margin(
     V -> (1+r)^-delta0 and dV -> +(1+r)^-(1+delta0).
     """
     r = np.asarray(nodes, dtype=float)
-    E = spec.E
-    w, wp, _ = build_w(spec, r)
-    if potential is None:
-        rho = 1.0 + r
-        V = rho ** (-spec.delta0)
-        dV = rho ** (-1.0 - spec.delta0)
-    else:
-        V = potential.values
-        dV = potential.radial_derivative
-    T = np.where(r > spec.R0, h * h * eval_g(spec, np.maximum(r, spec.R0)) * wp, 0.0)
-    return (
-        (E - V + eval_psi(spec, r)) * wp
-        + (-dV + eval_psi_prime(spec, r)) * w
-        + T
-        - (E / 4.0) * wp
-    )
+    return _e4_at(spec, _e4_parts(spec, r, potential), h)
 
 
 def verify_E4_inequality(
@@ -187,7 +192,8 @@ def verify_E4_inequality(
     """Minimum E/4 margin over the grid and over a set of h in (0, h1].
 
     hs defaults to 8 dyadic values h1 * 2^-k, k = 7..0, so h = h1 is hit
-    exactly.  Any h above the admissible threshold h1 raises.
+    exactly.  Any h above the admissible threshold h1 raises.  The
+    h-independent parts of the margin are evaluated once for all h.
     """
     spec = wt.spec
     h1 = wt.h1
@@ -197,10 +203,11 @@ def verify_E4_inequality(
     hs = np.atleast_1d(np.asarray(hs, dtype=float))
     if np.any(hs > h1 * (1.0 + 1e-12)):
         raise ConstructionError(f"h exceeds h1: max h = {hs.max()}, h1 = {h1}")
+    parts = _e4_parts(spec, nodes, potential)
     best = None
     per_h = {}
     for h in hs:
-        m = e4_margin(spec, h, nodes, potential)
+        m = _e4_at(spec, parts, h)
         i = int(np.argmin(m))
         per_h[float(h)] = float(m[i])
         if best is None or m[i] < best[0]:
@@ -308,6 +315,16 @@ def gluing_constants(wt: WeightTables, x0, disc: BoxDiscretization) -> GluingCon
     X, Y = disc.mesh()
     rx = np.hypot(X, Y).ravel()
     rs = np.hypot(X - x0[0], Y - x0[1]).ravel()
+    # edge envelope: beyond the farthest node both ratios are decreasing in
+    # |x|; bound w'(|x - x0|) >= w'(|x| + |x0|) by monotonicity of w'
+    r_edge = float(rx.max())
+    _, wp_e, _ = build_w(spec, r_edge)
+    _, wp_es, _ = build_w(spec, r_edge + r0)
+    if not wp_e + wp_es > 0.0:
+        raise ConstructionError(
+            f"edge envelope underflows: w' is 0 at the box corner |x| = {r_edge:.3g} "
+            f"(half-width {disc.L:.3g}); shrink verify.box.half_width"
+        )
     _, wp_x, _ = build_w(spec, rx)
     _, wp_s, _ = build_w(spec, rs)
     m2 = eval_m(spec.delta, rx) ** 2
@@ -316,11 +333,6 @@ def gluing_constants(wt: WeightTables, x0, disc: BoxDiscretization) -> GluingCon
     cap = (m2 + m2_s) / m2
     k_floor = float(floor.max())
     k_cap = float(cap.max())
-    # edge envelope: beyond the farthest node both ratios are decreasing in
-    # |x|; bound w'(|x - x0|) >= w'(|x| + |x0|) by monotonicity of w'
-    r_edge = float(rx.max())
-    _, wp_e, _ = build_w(spec, r_edge)
-    _, wp_es, _ = build_w(spec, r_edge + r0)
     edge_floor = float((1.0 / eval_m(spec.delta, r_edge) ** 2) / (wp_e + wp_es))
     edge_cap = float(1.0 + (eval_m(spec.delta, r_edge + r0) / eval_m(spec.delta, r_edge)) ** 2)
     if edge_floor > k_floor or edge_cap > k_cap:

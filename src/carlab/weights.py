@@ -236,7 +236,9 @@ def margin_scan_nodes(spec: PsiSpec, num: int = 10_000, span: float = 2.0) -> np
 
 @dataclass(frozen=True)
 class PsiSearch:
-    """Search settings for the constant search: R1 range and margin grid."""
+    """Search settings for the constant search: the R1 candidates and the
+    margin they must reach.  margin_nodes and span are checked but no longer
+    read: the search certifies each candidate on [0, inf) exactly."""
 
     r1_lo: float = 1.0
     r1_hi: float = 1e306
@@ -246,9 +248,38 @@ class PsiSearch:
     min_margin: float = 0.0
 
 
+def _envelope_min(spec: PsiSpec) -> float:
+    """Exact minimum of the envelope margin over r in [0, inf).
+
+    On each branch the margin is kappa - G(1+r), with kappa = 1/delta0 + E/2
+    on [0, R0], E/4 on (R0, R1) and E/2 on [R1, inf), and
+    G(rho) = rho^-delta0 + (rho^(delta-delta0) - rho^-delta0)/delta.  G rises
+    up to rho* = q^(1/delta), q = delta0 (1-delta)/(delta0-delta), and falls
+    after it, so each branch attains its minimum at rho* clamped into it (the
+    open middle branch at its one-ulp inner ends).  One margin call at those
+    radii certifies the whole half-line.  Where rho* is beyond the float
+    range the tail's infimum E/2 - G(rho*) comes from the closed form
+    G(rho*) = q^(-delta0/delta) (1 + (q-1)/delta).
+    """
+    d, d0 = spec.delta, spec.delta0
+    q_minus_1 = d * (1.0 - d0) / (d0 - d)
+    log_q = float(np.log1p(q_minus_1))
+    with np.errstate(over="ignore"):
+        r_star = float(np.expm1(log_q / d))
+    lo_mid, hi_mid = np.nextafter(spec.R0, np.inf), np.nextafter(spec.R1, 0.0)
+    r = [0.0, spec.R0, lo_mid, hi_mid, spec.R1,
+         min(r_star, spec.R0), min(max(r_star, lo_mid), hi_mid)]
+    tail = np.inf
+    if np.isfinite(r_star):
+        r.append(max(r_star, spec.R1))
+    else:
+        tail = spec.E / 2.0 - np.exp(-d0 / d * log_q) * (1.0 + q_minus_1 / d)
+    return min(float(psi_inequality_margin(spec, r).min()), tail)
+
+
 def find_psi_constants(p: ProblemParams, search: PsiSearch = PsiSearch()) -> PsiSpec:
     """Scan R1 upward; return the first continuity-exact triple whose
-    worst-case envelope margin is nonnegative on the scan grid.
+    worst-case envelope margin is nonnegative on all of [0, inf).
 
     The inequality is certifiable only when delta is small enough relative
     to (E, delta0); when the scan exhausts the range the failure is reported
@@ -264,8 +295,7 @@ def find_psi_constants(p: ProblemParams, search: PsiSearch = PsiSearch()) -> Psi
     best = -np.inf
     for r1 in np.geomspace(search.r1_lo, search.r1_hi, search.num_r1):
         spec = PsiSpec.from_continuity(p, r1)
-        nodes = margin_scan_nodes(spec, search.margin_nodes, search.span)
-        m = float(psi_inequality_margin(spec, nodes).min())
+        m = _envelope_min(spec)
         if m >= search.min_margin:
             return spec
         best = max(best, m)
@@ -405,7 +435,13 @@ def g_tail_bound(spec: PsiSpec, r: float) -> float:
     decreasing for large r; evaluated at the grid edge it certifies that no
     larger |g| values exist beyond the grid."""
     rho = 1.0 + r
-    return (rho ** (1.0 + spec.delta)) / (2.0 * spec.delta * r**3) + 1.0 / (4.0 * r**2)
+    den = 2.0 * spec.delta * r**3
+    if den == 0.0:
+        raise ConstructionError(
+            f"g tail bound underflows: 2 delta r^3 is 0 at the grid edge r = {r:.3g} "
+            f"(R1 = {spec.R1:.3g}); r^3 leaves the float range below r = 1.7e-108"
+        )
+    return (rho ** (1.0 + spec.delta)) / den + 1.0 / (4.0 * r**2)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import carlab
-from carlab import kernels
+from carlab import cli, kernels
 from carlab.cli import DEFAULT_CONFIG, load_config, main
 from carlab.weights import PsiSearch
 
@@ -313,7 +314,8 @@ def test_overflowing_default_r1_exits_two(tmp_path, capsys, command):
     ({"grid": {"n_inner": 0, "n_mid": 0, "n_outer": 0}},  # once an IndexError in radial_grid
      "need at least 5 nodes per grid segment"),
     ({"grid": {"n_mid": 4}}, "need at least 5 nodes per grid segment"),
-], ids=["h-1e-12", "h-1e-20", "substep_factor-1e300", "grid-zeros", "grid-n_mid-4"])
+    ({"r1": 1e-300}, "g tail bound underflows"),  # once a ZeroDivisionError: r^3 is 0
+], ids=["h-1e-12", "h-1e-20", "substep_factor-1e300", "grid-zeros", "grid-n_mid-4", "r1-1e-300"])
 def test_unbuildable_weights_exit_two_before_allocating(tmp_path, capsys, monkeypatch,
                                                         command, weights, message):
     def no_abscissae(*args):
@@ -326,6 +328,42 @@ def test_unbuildable_weights_exit_two_before_allocating(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_unrepresentable_gluing_edge_fails_its_check(tmp_path, capsys):
+    # at a corner radius of 1.4e300 both w' terms underflow; the edge
+    # envelope was once 0/0, a ZeroDivisionError
+    cfg = write_cfg(tmp_path, {"verify": {"box": {"half_width": 1e300}}})
+    out = tmp_path / "out"
+    assert run(["verify", "--config", cfg, "--out", out]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    data = json.loads((out / "margins_report.json").read_text())
+    glue = [r for r in data["reports"] if r["name"] == "gluing_constants"]
+    assert glue[0]["pass"] is False and "edge envelope underflows" in glue[0]["error"]
+
+
+@pytest.mark.parametrize("command", ["weights", "verify"])
+def test_falsely_scan_certified_search_exits_two(tmp_path, capsys, command):
+    # a sampled scan on [0, 2 R1] once accepted R1 = 1 here and verify passed
+    # all 9 checks; the envelope margin is -2.83 near r = 1.9e8
+    cfg = write_cfg(tmp_path, {"problem": {"E": 8.0, "delta0": 0.1, "s": 0.54},
+                               "weights": {"search": {"r1_lo": 1.0, "r1_hi": 1e6,
+                                                      "num_r1": 64}},
+                               "resolvent": {"potential": {"id": "zero"}}})
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    assert "no admissible R1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parser_is_built_once(monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
+    assert main(["--help-config"]) == 0
+    with pytest.raises(SystemExit) as exc:  # the usage path still exits 1
+        main(["frob"])
+    assert exc.value.code == 1
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_report_aggregates(tmp_path):

@@ -1,9 +1,14 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import carlab.weights
 from carlab import ConstructionError, ProblemParams, PsiSearch, PsiSpec, find_psi_constants
 from carlab.weights import (
+    _envelope_min,
     barrier_coeff,
     continuity_residuals,
     default_r1,
@@ -174,3 +179,128 @@ def test_scan_nodes_resolve_kinks(baseline_spec):
     assert baseline_spec.R1 in nodes
     assert nodes[0] == 0.0
     assert np.all(np.diff(nodes) > 0)
+
+
+# ----------------------------------------------------------------------------
+# exact envelope minimum over [0, inf) and the search built on it
+# ----------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+# E = 8, delta0 = 0.1, delta = 0.08: the envelope margin on [0, 2 R1] is
+# positive at R1 = 1, but its tail reaches -2.83 near r = 1.9e8
+FALSE_CERTIFICATE = (ProblemParams(E=8.0, delta0=0.1, s=0.54),
+                     PsiSearch(r1_lo=1.0, r1_hi=1e6, num_r1=64))
+
+
+def scan_search(p, search):
+    """The constant search certified on margin_scan_nodes' [0, span R1]."""
+    for r1 in np.geomspace(search.r1_lo, search.r1_hi, search.num_r1):
+        spec = PsiSpec.from_continuity(p, r1)
+        nodes = margin_scan_nodes(spec, search.margin_nodes, search.span)
+        if psi_inequality_margin(spec, nodes).min() >= search.min_margin:
+            return spec
+    return None
+
+
+def r_star(p):
+    """Where G, the envelope's subtracted part, peaks: (q^(1/delta) - 1)."""
+    q = p.delta0 * (1.0 - p.delta) / (p.delta0 - p.delta)
+    with np.errstate(over="ignore"):
+        return np.expm1(np.log(q) / p.delta)
+
+
+def searched_points():
+    """(params, search) of every shipped or benchmarked config that searches,
+    and of the README's small-delta regime."""
+    configs = [json.loads(path.read_text()) for path in sorted((ROOT / "configs").glob("*.json"))]
+    reference = json.loads((ROOT / "perfbench" / "reference" / "construct-verify.json").read_text())
+    configs += [item["config"] for item in reference["inputs"]]
+    configs.append({"problem": {"E": 1.0, "delta0": 0.4, "s": 0.505}, "weights": {"search": {}}})
+    points = {}
+    for cfg in configs:
+        search = cfg.get("weights", {}).get("search")
+        if search is not None:
+            points[ProblemParams(**cfg["problem"]), PsiSearch(**search)] = None
+    return list(points)
+
+
+def test_exact_minimum_against_scans():
+    # never above the 10k scan on [0, 2 R1], and equal to a scan on
+    # [0, 4 max(R1, r*)] refined around its argmin, for 50 draws x 32 R1
+    rng = np.random.default_rng(20261019)
+    checked = 0
+    for _ in range(50):
+        d0 = rng.uniform(0.01, 0.49)
+        p = validate_params(ProblemParams(E=float(np.exp(rng.uniform(np.log(0.1), np.log(16.0)))),
+                                          delta0=d0, s=(1.0 + rng.uniform(0.02, 0.98) * d0) / 2.0))
+        for r1 in np.geomspace(1e-3, 1e306, 32):
+            spec = PsiSpec.from_continuity(p, r1)
+            exact = _envelope_min(spec)
+            scan = psi_inequality_margin(spec, margin_scan_nodes(spec)).min()
+            assert exact <= scan + 1e-12 * (1.0 / p.delta0 + p.E)
+            span = 4.0 * max(r1, r_star(p)) / r1
+            if not np.isfinite(span * r1):
+                continue
+            nodes = margin_scan_nodes(spec, 10_000, span)
+            m = psi_inequality_margin(spec, nodes)
+            i = int(np.argmin(m))
+            fine = np.linspace(nodes[max(i - 1, 0)], nodes[min(i + 1, nodes.size - 1)], 10_000)
+            refined = min(m[i], psi_inequality_margin(spec, fine).min())
+            assert exact == pytest.approx(refined, rel=1e-9, abs=0.0)
+            checked += 1
+    assert checked >= 1500
+
+
+@pytest.mark.parametrize("point", searched_points(),
+                         ids=lambda pt: f"E{pt[0].E}-d0{pt[0].delta0}-s{pt[0].s}-n{pt[1].num_r1}")
+def test_search_picks_the_scan_search_constants(point):
+    # wherever the scan's certificate was true the exact search is bit-identical
+    p, search = point
+    assert find_psi_constants(p, search) == scan_search(p, search)
+
+
+def test_false_certificate_is_rejected():
+    p, search = FALSE_CERTIFICATE
+    spec = scan_search(p, search)
+    assert spec.R1 == 1.0  # the sampled scan accepted it
+    r = np.array([r_star(p)])
+    assert 1e8 < r[0] < 1e9 and psi_inequality_margin(spec, r)[0] < -2.8
+    with pytest.raises(ConstructionError, match="no admissible R1.*best envelope margin -2.828"):
+        find_psi_constants(p, search)
+
+
+def test_search_evaluates_one_margin_call_per_candidate(monkeypatch):
+    calls = []
+    margin = carlab.weights.psi_inequality_margin
+
+    def counted(spec, r, potential=None):
+        calls.append(np.size(r))
+        return margin(spec, r, potential)
+
+    monkeypatch.setattr(carlab.weights, "psi_inequality_margin", counted)
+    p = validate_params(ProblemParams(E=1.0, delta0=0.4, s=0.505))
+    spec = find_psi_constants(p)
+    visited = int(np.flatnonzero(np.geomspace(1.0, 1e306, 320) == spec.R1)[0]) + 1
+    assert len(calls) == visited == 213
+    assert max(calls) <= 9
+
+
+def test_closed_form_tail_beyond_float_range():
+    # at delta0 = 1e-3, rho* = q^(1/delta) is about e^1386: the tail's
+    # infimum comes from the closed form, checked here in log(rho)
+    p = validate_params(ProblemParams(E=1.0, delta0=1e-3, s=(1.0 + 5e-4) / 2.0))
+    assert r_star(p) == np.inf
+    spec = PsiSpec.from_continuity(p, 1e6)
+    d, d0 = p.delta, p.delta0
+
+    def tail(x):  # E/2 - G(rho) at x = log(rho)
+        return p.E / 2.0 - np.exp(-d0 * x) * (1.0 + np.expm1(d * x) / d)
+
+    x = np.linspace(np.log1p(spec.R1), 4000.0, 200_001)
+    i = int(np.argmin(tail(x)))
+    closed = p.E / 2.0 - (d0 * (1.0 - d) / (d0 - d)) ** (1.0 - d0 / d) / d0
+    assert tail(x).min() >= closed - 1e-12
+    assert tail(np.linspace(x[i - 1], x[i + 1], 10_001)).min() == pytest.approx(closed, abs=1e-9)
+    finite = psi_inequality_margin(spec, margin_scan_nodes(spec)).min()
+    assert closed < finite
+    assert _envelope_min(spec) == pytest.approx(closed, rel=1e-12)

@@ -20,7 +20,7 @@ from carlab import (
     verify_shift_envelope,
 )
 from carlab.verify import e4_margin
-from carlab.weights import build_w, eval_g, margin_scan_nodes
+from carlab.weights import build_w, eval_g, eval_psi, eval_psi_prime, margin_scan_nodes
 
 # regression locks for the baseline construction (deterministic pipeline)
 GLUING_K_BASELINE = 8.133538283982741
@@ -189,6 +189,36 @@ def test_e4_instance_dominates_envelope(certified_tables):
     inst = e4_margin(wt.spec, wt.h1, r, V)
     env = e4_margin(wt.spec, wt.h1, r)
     assert np.all(inst >= env - 1e-12)
+
+
+def e4_reference(spec, h, r, V=None):
+    """e4_margin's expression, evaluated whole for one h."""
+    w, wp, _ = build_w(spec, r)
+    rho = 1.0 + r
+    v, dv = (rho ** (-spec.delta0), rho ** (-1.0 - spec.delta0)) if V is None \
+        else (V.values, V.radial_derivative)
+    T = np.where(r > spec.R0, h * h * eval_g(spec, np.maximum(r, spec.R0)) * wp, 0.0)
+    return ((spec.E - v + eval_psi(spec, r)) * wp + (-dv + eval_psi_prime(spec, r)) * w + T
+            - (spec.E / 4.0) * wp)
+
+
+@pytest.mark.parametrize("tables", ["baseline_tables", "certified_tables"])
+@pytest.mark.parametrize("instance", [False, True])
+def test_e4_verify_equals_per_h_margins(request, tables, instance):
+    # the h-independent parts are evaluated once; every per-h minimum stays bit-identical
+    wt = request.getfixturevalue(tables)
+    r = wt.grid.nodes
+    V = catalog_radial("trapping_ring", wt.spec.delta0, r, A=2.0, rho=1.0, sigma=0.25) \
+        if instance else None
+    rep = verify_E4_inequality(wt, potential=V)
+    hs = wt.h1 * 0.5 ** np.arange(7, -1, -1)
+    expected = {}
+    for h in hs:
+        m = e4_margin(wt.spec, h, r, V)
+        assert np.array_equal(m, e4_reference(wt.spec, h, r, V))
+        expected[float(h)] = float(m.min())
+    assert rep.detail["per_h_min"] == expected
+    assert rep.min_margin == min(expected.values())
 
 
 # ----------------------------------------------------------------------------
