@@ -225,6 +225,12 @@ def _spec(cfg, p: ProblemParams) -> PsiSpec:
     return PsiSpec.from_continuity(p, r1)
 
 
+def _potential(cfg) -> tuple[str, dict]:
+    """The configured catalog id and its parameters as floats."""
+    pot = dict(cfg["resolvent"]["potential"])
+    return pot.pop("id"), {k: float(v) for k, v in pot.items()}
+
+
 def _tables(cfg, spec: PsiSpec):
     wcfg = cfg["weights"]
     g = wcfg["grid"]
@@ -270,12 +276,8 @@ def cmd_verify(cfg, out: Path, tolerance: float | None = None) -> int:
     out_reports.append(verify_E4_inequality(wt, hs=hs, tolerance=tol))
     # instance margins for the configured catalog potential, radial sampling;
     # E is not passed: the trapping gate A > E only matters for sweeps
-    pot = dict(cfg["resolvent"]["potential"])
-    pot_id = pot.pop("id")
-    v_inst = catalog_radial(
-        pot_id, p.delta0, wt.grid.nodes,
-        **{k: float(v) for k, v in pot.items()},
-    )
+    pot_id, pot = _potential(cfg)
+    v_inst = catalog_radial(pot_id, p.delta0, wt.grid.nodes, **pot)
     out_reports.append(
         verify_psi_inequality(spec, wt.grid.nodes, potential=v_inst, tolerance=tol)
     )
@@ -360,9 +362,8 @@ def cmd_sweep(cfg, out: Path, assert_fits: bool = False) -> int:
     p = _params(cfg)
     rcfg = cfg["resolvent"]
     disc = BoxDiscretization(L=float(rcfg["box"]["half_width"]), n=int(rcfg["box"]["n"]))
-    pot = dict(rcfg["potential"])
-    pot_id = pot.pop("id")
-    V = catalog_potential(pot_id, p.delta0, disc, E=p.E, **{k: float(v) for k, v in pot.items()})
+    pot_id, pot = _potential(cfg)
+    V = catalog_potential(pot_id, p.delta0, disc, E=p.E, **pot)
     eps_cfg = rcfg["eps"]
     if eps_cfg["rule"] == "constant":
         eps_rule = float(eps_cfg["value"])
@@ -370,7 +371,7 @@ def cmd_sweep(cfg, out: Path, assert_fits: bool = False) -> int:
         eps_rule = lambda h, v=float(eps_cfg["value"]): h / v  # noqa: E731
     R = rcfg["R"]
     if R == "auto":
-        R = float(pot["rho"]) + 3.0 * float(pot["sigma"]) if pot_id == "trapping_ring" else 1.0
+        R = pot["rho"] + 3.0 * pot["sigma"] if pot_id == "trapping_ring" else 1.0
     results = sweep_h(
         V, p.E, float(rcfg["s"]), [float(h) for h in rcfg["hs"]],
         eps_rule=eps_rule, modes=rcfg["modes"], disc=disc,

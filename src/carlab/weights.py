@@ -396,7 +396,7 @@ def build_w(spec: PsiSpec, r):
     c0 = matching_c0(spec)
     rho = 1.0 + r
     inner = r <= spec.R0
-    w = np.where(inner, c0 * r**2, barrier_outer(spec.delta, r))
+    w = np.where(inner, c0 * np.square(np.minimum(r, spec.R0)), barrier_outer(spec.delta, r))
     wp = np.where(inner, 2.0 * c0 * r, spec.delta * rho ** (-1.0 - spec.delta))
     if w.ndim == 0:
         return float(w), float(wp), c0
@@ -474,9 +474,9 @@ def compute_g_and_h1(
         extra = np.asarray(extra_nodes, dtype=float)
         extra = extra[(extra >= spec.R0) & (extra <= r_max)]
         r = np.unique(np.concatenate([r, extra]))
+    tail = g_tail_bound(spec, r_max)  # raises before eval_g can divide by r^2 = 0
     g = eval_g(spec, r)
     g_sup = float(np.abs(g).max())
-    tail = g_tail_bound(spec, r_max)
     if tail > g_sup:
         raise CertificationError(
             f"tail bound {tail:.3e} exceeds grid max {g_sup:.3e} (extend r_max)"

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -117,6 +118,29 @@ def test_verify_instance_margins_use_configured_c(tmp_path):
     assert len(margins[0.5]) == 2
     for name, margin in margins[0.5].items():
         assert margin != margins[1.0][name]
+
+
+def test_zero_amplitude_decay_runs_without_warnings(tmp_path):
+    # the envelope check once divided by c: c = 0 gave a 0/0 ratio, two
+    # RuntimeWarnings and exit 2 in both commands
+    payload = with_leaf(BASELINE_SWEEP, "resolvent.potential", {"id": "radial_decay", "c": 0.0})
+    cfg = write_cfg(tmp_path, payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["verify", "--config", cfg, "--out", tmp_path / "v"]) == 3
+        assert run(["sweep", "--config", cfg, "--out", tmp_path / "s"]) == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_nan_amplitude_violates_envelope(tmp_path, capsys, command):
+    payload = with_leaf(BASELINE_SWEEP, "resolvent.potential",
+                        {"id": "radial_decay", "c": float("nan")})
+    out = tmp_path / "out"
+    assert run([command, "--config", write_cfg(tmp_path, payload), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"envelope violated for 'radial_decay'.* at r = \S+", err)
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_sweep_writes_artifacts(tmp_path):

@@ -7,7 +7,6 @@ from carlab import BoxDiscretization, ConstructionError, catalog_potential, cata
 def test_zero_is_trivially_admissible():
     r = np.linspace(0.0, 5.0, 100)
     s = catalog_radial("zero", 0.4, r)
-    assert s.envelope_ok
     assert np.all(s.values == 0.0)
     assert np.all(s.radial_derivative == 0.0)
 
@@ -15,7 +14,6 @@ def test_zero_is_trivially_admissible():
 def test_radial_decay_envelope_on_grid():
     r = np.linspace(0.0, 20.0, 5000)
     s = catalog_radial("radial_decay", 0.4, r, c=1.0)
-    assert s.envelope_ok
     rho = 1.0 + r
     assert np.all(s.values <= rho ** (-0.4) + 1e-15)
     # |dV| = (c/2) d0 r (1+r^2)^(-d0/2-1) stays under the gradient envelope
@@ -25,7 +23,6 @@ def test_radial_decay_envelope_on_grid():
 def test_trapping_ring_reports_fitted_c():
     r = np.linspace(0.0, 6.0, 4000)
     s = catalog_radial("trapping_ring", 0.4, r, E=1.0, A=2.0, rho=1.0, sigma=0.25)
-    assert s.envelope_ok
     rho_env = (1.0 + r) ** 0.4
     assert s.c == pytest.approx(
         max((s.values * rho_env).max(), (np.abs(s.radial_derivative) * (1.0 + r) ** 1.4).max())
@@ -44,15 +41,18 @@ def test_unknown_id_rejected():
         catalog_radial("bogus", 0.4, np.linspace(0, 1, 10))
 
 
-def test_field2d_radial_derivative_matches_exact():
-    disc = BoxDiscretization(L=3.0, n=129)
-    s = catalog_potential("radial_decay", 0.4, disc, c=1.0)
-    r = s.r
-    exact = -0.5 * 0.4 * r * (1.0 + r**2) ** (-0.4 / 2.0 - 1.0)
-    # finite-difference gradients projected onto the radial direction
-    err = np.abs(s.radial_derivative - exact)
-    assert err.max() <= 5e-4
-    assert s.envelope_ok
+@pytest.mark.parametrize("name", ["zero", "radial_decay", "trapping_ring"])
+def test_field2d_is_the_radial_sample_at_the_box_radii(name):
+    # for a radial V, |grad V| = |dV/dr|: the box sample is exact, not differenced
+    kw = {"E": 1.0, "A": 2.0, "rho": 1.0, "sigma": 0.25} if name == "trapping_ring" else {}
+    disc = BoxDiscretization(L=2.5, n=64)
+    s = catalog_potential(name, 0.4, disc, **kw)
+    ref = catalog_radial(name, 0.4, disc.radii(), **kw)
+    assert s.mode == "field2d" and ref.mode == "radial"
+    assert np.array_equal(s.r, ref.r)
+    assert np.array_equal(s.values, ref.values)
+    assert np.array_equal(s.radial_derivative, ref.radial_derivative)
+    assert s.c == ref.c
 
 
 def test_field2d_zero_at_origin_node():
@@ -61,3 +61,10 @@ def test_field2d_zero_at_origin_node():
     i0 = int(np.argmin(s.r))
     assert s.r[i0] == 0.0
     assert s.radial_derivative[i0] == 0.0
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0])
+def test_envelope_constant_is_abs_c(c):
+    # the check compares against |c| and never divides by it
+    s = catalog_radial("radial_decay", 0.4, np.linspace(0.0, 20.0, 500), c=c)
+    assert s.c == abs(c)
