@@ -9,10 +9,8 @@ import copy
 import functools
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
-
-import numpy as np
 
 from .errors import (
     CarlabError,
@@ -38,7 +36,6 @@ from .weights import (
     PsiSearch,
     PsiSpec,
     build_weight_tables,
-    compute_g_and_h1,
     default_r1,
     find_psi_constants,
     margin_scan_nodes,
@@ -94,7 +91,8 @@ SCHEMA = {
             "half_width": ("auto", '"auto" | float', "shift/gluing grid; auto = 2 (R1 + 1)"),
             "n": (65, "int", "nodes per axis, at least 4"),
         },
-        "e4_h_count": (8, "int >= 1", "dyadic h values in (0, h1] for the E/4 check"),
+        "e4_h_count": (8, "int >= 1", "checked but not read: the E/4 bound is\n"
+                       "certified on all of (0, h1] from h = h1 alone"),
     },
     "resolvent": {
         "box": {
@@ -240,10 +238,8 @@ def _tables(cfg, spec: PsiSpec):
         n_inner=int(g["n_inner"]), n_mid=int(g["n_mid"]), n_outer=int(g["n_outer"]),
     )
     h = wcfg["h"]
-    if h == "auto":
-        h = compute_g_and_h1(spec, spec.E, extra_nodes=grid.nodes).h1 / 2.0
     return build_weight_tables(
-        spec, float(h), grid,
+        spec, None if h == "auto" else float(h), grid,
         substep_factor=float(wcfg["substep_factor"]),
         residual_tol=float(wcfg["residual_tol"]),
     )
@@ -271,20 +267,17 @@ def cmd_verify(cfg, out: Path, tolerance: float | None = None) -> int:
     tol = float(vcfg["tolerance"]) if tolerance is None else tolerance
 
     margin_nodes = margin_scan_nodes(spec, int(vcfg["margin_nodes"]))
-    out_reports = [verify_psi_inequality(spec, margin_nodes, tolerance=tol)]
-    hs = wt.h1 * 0.5 ** np.arange(int(vcfg["e4_h_count"]) - 1, -1, -1)
-    out_reports.append(verify_E4_inequality(wt, hs=hs, tolerance=tol))
     # instance margins for the configured catalog potential, radial sampling;
     # E is not passed: the trapping gate A > E only matters for sweeps
     pot_id, pot = _potential(cfg)
     v_inst = catalog_radial(pot_id, p.delta0, wt.grid.nodes, **pot)
-    out_reports.append(
-        verify_psi_inequality(spec, wt.grid.nodes, potential=v_inst, tolerance=tol)
-    )
-    out_reports.append(
-        verify_E4_inequality(wt, potential=v_inst, hs=hs, tolerance=tol)
-    )
-    out_reports.extend(verify_barrier_facts(wt, tolerance=tol))
+    out_reports = [
+        verify_psi_inequality(spec, margin_nodes, tolerance=tol),
+        verify_E4_inequality(wt, tolerance=tol),
+        verify_psi_inequality(spec, wt.grid.nodes, potential=v_inst, tolerance=tol),
+        verify_E4_inequality(wt, potential=v_inst, tolerance=tol),
+        *verify_barrier_facts(wt, tolerance=tol),
+    ]
 
     half = vcfg["box"]["half_width"]
     half = 2.0 * (spec.R1 + 1.0) if half == "auto" else float(half)
@@ -300,14 +293,7 @@ def cmd_verify(cfg, out: Path, tolerance: float | None = None) -> int:
     glue_payload = None
     try:
         glue = gluing_constants(wt, x0, disc)
-        glue_payload = {
-            "K": reports.fnum(glue.K),
-            "R": reports.fnum(glue.R),
-            "k_weight_floor": reports.fnum(glue.k_weight_floor),
-            "k_weight_cap": reports.fnum(glue.k_weight_cap),
-            "edge_floor": reports.fnum(glue.edge_floor),
-            "edge_cap": reports.fnum(glue.edge_cap),
-        }
+        glue_payload = {k: float(v) for k, v in asdict(glue).items()}
     except (CertificationError, ConstructionError) as exc:
         failures_from_errors.append(("gluing_constants", str(exc)))
 

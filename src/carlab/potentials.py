@@ -45,13 +45,17 @@ def _radial_formulas(name, r, delta0, c, params):
             raise ConstructionError(
                 f"trapping_ring needs parameters A, rho, sigma (missing {exc})"
             ) from exc
+        ring = f"A={A}, rho={rho_ring}, sigma={sigma}"
         if not (sigma > 0.0 and rho_ring > 0.0 and A > 0.0):
-            raise ConstructionError(
-                f"trapping_ring needs positive A, rho, sigma, got "
-                f"A={A}, rho={rho_ring}, sigma={sigma}"
-            )
-        V = A * np.exp(-((r - rho_ring) ** 2) / sigma**2)
-        dV = -2.0 * (r - rho_ring) / sigma**2 * V
+            raise ConstructionError(f"trapping_ring needs positive A, rho, sigma, got {ring}")
+        if not np.finfo(float).tiny <= sigma * sigma < np.inf:
+            raise ConstructionError(f"trapping_ring sigma^2 leaves the float range at {ring}")
+        # far from the ring the exponent overflows to -inf and V is 0, so dV is too
+        with np.errstate(over="ignore", invalid="ignore"):
+            V = A * np.exp(-((r - rho_ring) ** 2) / sigma**2)
+            dV = np.where(V > 0.0, -2.0 * (r - rho_ring) / sigma**2 * V, 0.0)
+        if not np.isfinite(dV).all():
+            raise ConstructionError(f"trapping_ring dV/dr overflows at {ring}")
         return V, dV
     raise ConstructionError(f"unknown potential id '{name}', expected one of {CATALOG}")
 

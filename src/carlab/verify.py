@@ -8,7 +8,7 @@ potential.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -45,7 +45,6 @@ class MarginReport:
     argmin: tuple | float
     grid_size: int
     tolerance: float
-    detail: dict = field(default_factory=dict, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -63,7 +62,7 @@ class MarginReport:
         }
 
 
-def _report(name, margins, locations, tolerance, **detail) -> MarginReport:
+def _report(name, margins, locations, tolerance) -> MarginReport:
     i = int(np.argmin(margins))
     loc = locations[i]
     loc = float(loc) if np.isscalar(loc) or getattr(loc, "ndim", 1) == 0 else tuple(map(float, loc))
@@ -73,8 +72,19 @@ def _report(name, margins, locations, tolerance, **detail) -> MarginReport:
         argmin=loc,
         grid_size=int(len(margins)),
         tolerance=tolerance,
-        detail=dict(detail),
     )
+
+
+def _kind(potential: PotentialSample | None, r: np.ndarray) -> str:
+    """The report kind: "envelope", or "instance:<name>" for a radial sample
+    on exactly the nodes r; any other sample raises GridMismatchError."""
+    if potential is None:
+        return "envelope"
+    if potential.mode != "radial" or not np.array_equal(potential.r, r):
+        raise GridMismatchError(
+            f"grid mismatch: instance mode needs a radial sample on the {r.size} verified nodes"
+        )
+    return f"instance:{potential.name}"
 
 
 # ----------------------------------------------------------------------------
@@ -93,18 +103,9 @@ def verify_psi_inequality(
     share the nodes.
     """
     r = np.asarray(nodes, dtype=float)
-    if potential is None:
-        margins = psi_inequality_margin(spec, r)
-        kind = "envelope"
-    else:
-        if potential.mode != "radial":
-            raise GridMismatchError("instance mode needs a radial potential sample")
-        if potential.r.shape != r.shape or not np.array_equal(potential.r, r):
-            raise GridMismatchError("potential sampled on a different grid")
-        margins = psi_inequality_margin(
-            spec, r, (potential.values, potential.radial_derivative)
-        )
-        kind = f"instance:{potential.name}"
+    kind = _kind(potential, r)
+    sample = None if potential is None else (potential.values, potential.radial_derivative)
+    margins = psi_inequality_margin(spec, r, sample)
     return _report(f"psi_inequality[{kind}]", margins, r, tolerance)
 
 
@@ -126,11 +127,8 @@ def effective_potential(V: PotentialSample, wt: WeightTables) -> EffectivePotent
     so the table route and the identity route V - psi - h^2/(4 r^2) agree up
     to float association; the residual between them is reported.
     """
-    if V.mode != "radial":
-        raise GridMismatchError("effective_potential needs a radial potential sample")
     r = wt.grid.nodes
-    if V.r.shape != r.shape or not np.array_equal(V.r, r):
-        raise GridMismatchError("grid mismatch between potential and weight tables")
+    _kind(V, r)
     h = wt.h
     phi2 = (wt.u**2 - wt.psi) / h
     pole = h * h / (4.0 * r**2)
@@ -144,26 +142,6 @@ def effective_potential(V: PotentialSample, wt: WeightTables) -> EffectivePotent
 # ----------------------------------------------------------------------------
 # E/4 lower bound on d/dr (w (E - V_phi))
 # ----------------------------------------------------------------------------
-
-def _e4_parts(spec: PsiSpec, r: np.ndarray, potential: PotentialSample | None):
-    """The h-independent parts of e4_margin: (A + B, g, w', mask of r > R0)."""
-    E = spec.E
-    w, wp, _ = build_w(spec, r)
-    if potential is None:
-        rho = 1.0 + r
-        V = rho ** (-spec.delta0)
-        dV = rho ** (-1.0 - spec.delta0)
-    else:
-        V = potential.values
-        dV = potential.radial_derivative
-    ab = (E - V + eval_psi(spec, r)) * wp + (-dV + eval_psi_prime(spec, r)) * w
-    return ab, eval_g(spec, np.maximum(r, spec.R0)), wp, r > spec.R0
-
-
-def _e4_at(spec: PsiSpec, parts, h: float) -> np.ndarray:
-    ab, g, wp, outer = parts
-    return ab + np.where(outer, h * h * g * wp, 0.0) - (spec.E / 4.0) * wp
-
 
 def e4_margin(
     spec: PsiSpec,
@@ -180,47 +158,33 @@ def e4_margin(
     V -> (1+r)^-delta0 and dV -> +(1+r)^-(1+delta0).
     """
     r = np.asarray(nodes, dtype=float)
-    return _e4_at(spec, _e4_parts(spec, r, potential), h)
+    _kind(potential, r)  # a sample must sit on exactly these nodes
+    if potential is None:
+        V, dV = (1.0 + r) ** (-spec.delta0), (1.0 + r) ** (-1.0 - spec.delta0)
+    else:
+        V, dV = potential.values, potential.radial_derivative
+    w, wp, _ = build_w(spec, r)
+    ab = (spec.E - V + eval_psi(spec, r)) * wp + (-dV + eval_psi_prime(spec, r)) * w
+    g = eval_g(spec, np.maximum(r, spec.R0))
+    return ab + np.where(r > spec.R0, h * h * g * wp, 0.0) - (spec.E / 4.0) * wp
 
 
 def verify_E4_inequality(
     wt: WeightTables,
     potential: PotentialSample | None = None,
-    hs=None,
     tolerance: float = DEFAULT_TOL,
 ) -> MarginReport:
-    """Minimum E/4 margin over the grid and over a set of h in (0, h1].
+    """Minimum E/4 margin over the grid, certified for every h in (0, h1].
 
-    hs defaults to 8 dyadic values h1 * 2^-k, k = 7..0, so h = h1 is hit
-    exactly.  Any h above the admissible threshold h1 raises.  The
-    h-independent parts of the margin are evaluated once for all h.
+    One evaluation at h = h1 suffices.  4 r^2 g(r) <= -1 for all r > 0,
+    because (1+r)((1+r)^delta - 1) >= delta (1+r) ln(1+r) >= delta r; so
+    g < 0, and T = h^2 g w' (zero on the plateau) only falls as h grows.
+    At every node the margin is smallest at h1, in floating point too, since
+    rounding is monotone.
     """
-    spec = wt.spec
-    h1 = wt.h1
-    nodes = wt.grid.nodes
-    if hs is None:
-        hs = h1 * 0.5 ** np.arange(7, -1, -1)
-    hs = np.atleast_1d(np.asarray(hs, dtype=float))
-    if np.any(hs > h1 * (1.0 + 1e-12)):
-        raise ConstructionError(f"h exceeds h1: max h = {hs.max()}, h1 = {h1}")
-    parts = _e4_parts(spec, nodes, potential)
-    best = None
-    per_h = {}
-    for h in hs:
-        m = _e4_at(spec, parts, h)
-        i = int(np.argmin(m))
-        per_h[float(h)] = float(m[i])
-        if best is None or m[i] < best[0]:
-            best = (float(m[i]), float(nodes[i]), float(h))
-    kind = "envelope" if potential is None else f"instance:{potential.name}"
-    return MarginReport(
-        name=f"e4_inequality[{kind}]",
-        min_margin=best[0],
-        argmin=best[1],
-        grid_size=int(len(nodes)),
-        tolerance=tolerance,
-        detail={"h_at_min": best[2], "per_h_min": per_h, "h1": h1},
-    )
+    r = wt.grid.nodes
+    return _report(f"e4_inequality[{_kind(potential, r)}]",
+                   e4_margin(wt.spec, wt.h1, r, potential), r, tolerance)
 
 
 def verify_barrier_facts(wt: WeightTables, tolerance: float = DEFAULT_TOL) -> list:
@@ -282,7 +246,7 @@ def verify_shift_envelope(
     ratio = (1.0 + rx) / (1.0 + rs)
     margins = np.minimum(2.0 - ratio ** (1.0 + delta0), 2.0 - ratio**delta0)
     pts = np.column_stack([X.ravel(), Y.ravel()])
-    return _report("shift_envelope", margins, pts, tolerance, x0=list(map(float, x0)))
+    return _report("shift_envelope", margins, pts, tolerance)
 
 
 @dataclass(frozen=True)

@@ -616,18 +616,23 @@ class WeightTables:
 
 def build_weight_tables(
     spec: PsiSpec,
-    h: float,
+    h: float | None = None,
     grid: RadialGrid | None = None,
     substep_factor: float = 80.0,
     residual_tol: float = 1e-6,
 ) -> WeightTables:
-    """Assemble all radial tables for one h; pure and deterministic."""
+    """Assemble all radial tables for one h; pure and deterministic.
+
+    h = None takes h1/2, from the g/h1 scan the tables record anyway.
+    """
     if grid is None:
         grid = radial_grid(spec)
     r = grid.nodes
+    gt = compute_g_and_h1(spec, spec.E, extra_nodes=r)
+    if h is None:
+        h = gt.h1 / 2.0
     u, phi, u0, resid = solve_phi_riccati(spec, h, grid, substep_factor, residual_tol)
     w, wp, c0 = build_w(spec, r)
-    gt = compute_g_and_h1(spec, spec.E, extra_nodes=r)
     return WeightTables(
         spec=spec,
         grid=grid,

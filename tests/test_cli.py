@@ -131,6 +131,25 @@ def test_zero_amplitude_decay_runs_without_warnings(tmp_path):
         assert run(["sweep", "--config", cfg, "--out", tmp_path / "s"]) == 0
 
 
+@pytest.mark.parametrize("command, ring, code, message", [
+    ("verify", {"sigma": 1e-200}, 2, "sigma=1e-200"),
+    ("sweep", {"sigma": 1e-200}, 2, "sigma=1e-200"),
+    ("verify", {"rho": 1e300}, 3, "failing checks"),
+    ("sweep", {"rho": 1e300}, 2, "exterior weight is zero"),
+])
+def test_unrepresentable_ring_runs_without_warnings(tmp_path, capsys, command, ring, code,
+                                                    message):
+    # sigma^2 underflowing once gave NaN envelope values and "divide by zero"
+    # warnings; (r - rho)^2 overflowing printed "overflow encountered in square"
+    payload = {"resolvent": {"potential": {"id": "trapping_ring", **ring}}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--config", write_cfg(tmp_path, payload),
+                    "--out", tmp_path / "out"]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 def test_nan_amplitude_violates_envelope(tmp_path, capsys, command):
     payload = with_leaf(BASELINE_SWEEP, "resolvent.potential",
@@ -267,6 +286,11 @@ def test_shipped_and_readme_configs_load(tmp_path):
     minimal = json.loads(readme.split("A minimal config")[1].split("```json\n")[1].split("```")[0])
     cfg = load_config(write_cfg(tmp_path, minimal))
     assert cfg["resolvent"]["hs"] == minimal["resolvent"]["hs"]
+    # the benchmark's configs spell out keys the code no longer reads
+    for path in sorted((root / "perfbench" / "reference").glob("*.json")):
+        for item in json.loads(path.read_text())["inputs"]:
+            cfg = load_config(write_cfg(tmp_path, item["config"]))
+            assert cfg["problem"] == item["config"]["problem"]
 
 
 @pytest.mark.parametrize("modes", [[], ["interior", "interior"], 3])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,24 @@ def test_trapping_ring_requires_barrier_above_energy():
     r = np.linspace(0.0, 6.0, 100)
     with pytest.raises(ConstructionError, match="A > E"):
         catalog_radial("trapping_ring", 0.4, r, E=3.0, A=2.0, rho=1.0, sigma=0.25)
+
+
+@pytest.mark.parametrize("A, rho, sigma", [
+    (2.0, 1.0, 1e-200),  # sigma^2 underflows
+    (2.0, 1.0, 1e200),   # sigma^2 overflows
+    (1e308, 1.0, 0.25),  # dV/dr overflows next to the ring
+])
+def test_unrepresentable_ring_names_its_parameters(A, rho, sigma):
+    with pytest.raises(ConstructionError, match=re.escape(f"A={A}, rho={rho}, sigma={sigma}")):
+        catalog_radial("trapping_ring", 0.4, np.linspace(0.0, 6.0, 601), A=A, rho=rho, sigma=sigma)
+
+
+@pytest.mark.parametrize("rho", [1e300, 1.7e308])
+def test_far_ring_is_exactly_zero(rho):
+    # (r - rho)^2 overflows: the exponent is -inf, and V = dV = 0 are exact
+    s = catalog_radial("trapping_ring", 0.4, np.linspace(0.0, 6.0, 601), A=2.0, rho=rho,
+                       sigma=0.25)
+    assert np.all(s.values == 0.0) and np.all(s.radial_derivative == 0.0)
 
 
 def test_unknown_id_rejected():

@@ -68,11 +68,21 @@ def test_instance_margin_dominates_envelope(baseline_spec, baseline_tables):
         assert inst.min_margin >= env.min_margin - 1e-12
 
 
-def test_instance_needs_matching_grid(baseline_spec):
+def test_instance_needs_matching_grid(baseline_spec, baseline_tables):
     r = np.linspace(0.1, 1.0, 50)
     V = catalog_radial("zero", baseline_spec.delta0, r)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(GridMismatchError, match="grid mismatch"):
         verify_psi_inequality(baseline_spec, r[:-1], potential=V)
+    # the E/4 verifiers check the grid too: the reversed nodes have the right
+    # count in the wrong order, the short sample one node too few
+    wt = baseline_tables
+    nodes = wt.grid.nodes
+    for bad in (nodes[::-1], nodes[:-1]):
+        ring = catalog_radial("trapping_ring", wt.spec.delta0, bad, A=2.0, rho=1.0, sigma=0.25)
+        with pytest.raises(GridMismatchError, match="grid mismatch"):
+            verify_E4_inequality(wt, potential=ring)
+        with pytest.raises(GridMismatchError, match="grid mismatch"):
+            e4_margin(wt.spec, wt.h1, nodes, ring)
 
 
 # ----------------------------------------------------------------------------
@@ -127,8 +137,6 @@ def test_e4_envelope_certified(certified_tables):
     rep = verify_E4_inequality(certified_tables)
     assert rep.passed
     assert rep.min_margin >= -1e-12
-    # the dyadic ladder includes h1 itself
-    assert max(rep.detail["per_h_min"]) == pytest.approx(certified_tables.h1, rel=1e-15)
 
 
 def test_e4_negative_at_baseline(baseline_tables):
@@ -163,7 +171,11 @@ def test_e4_h2_scaling_of_origin_term(certified_tables):
     assert np.allclose(m_full - m_half, expected_diff, rtol=0, atol=1e-12)
 
 
-def test_e4_monotone_in_h_where_g_negative(certified_tables):
+def test_e4_monotone_in_h_where_g_negative(certified_tables, combo_tables):
+    # the lemma behind the single evaluation at h1: 4 r^2 g(r) <= -1 for r > 0
+    for wt in (certified_tables, *combo_tables.values()):
+        r = wt.grid.nodes[wt.grid.nodes > wt.spec.R0]
+        assert np.all(4.0 * r**2 * eval_g(wt.spec, r) <= -1.0)
     wt = certified_tables
     r = wt.grid.nodes
     neg = (r > wt.spec.R0) & (eval_g(wt.spec, np.maximum(r, wt.spec.R0)) < 0.0)
@@ -175,11 +187,6 @@ def test_e4_monotone_in_h_where_g_negative(certified_tables):
             assert np.all(m[neg] >= prev[neg] - 1e-12)
         prev = m
     assert neg.any()
-
-
-def test_e4_rejects_h_above_h1(certified_tables):
-    with pytest.raises(ConstructionError, match="h exceeds h1"):
-        verify_E4_inequality(certified_tables, hs=[certified_tables.h1 * 1.5])
 
 
 def test_e4_instance_dominates_envelope(certified_tables):
@@ -205,20 +212,25 @@ def e4_reference(spec, h, r, V=None):
 @pytest.mark.parametrize("tables", ["baseline_tables", "certified_tables"])
 @pytest.mark.parametrize("instance", [False, True])
 def test_e4_verify_equals_per_h_margins(request, tables, instance):
-    # the h-independent parts are evaluated once; every per-h minimum stays bit-identical
+    # one evaluation at h1 is the minimum over all of (0, h1]: it is bitwise
+    # the oracle at h1 and no larger than the margin at any smaller h
     wt = request.getfixturevalue(tables)
     r = wt.grid.nodes
     V = catalog_radial("trapping_ring", wt.spec.delta0, r, A=2.0, rho=1.0, sigma=0.25) \
         if instance else None
     rep = verify_E4_inequality(wt, potential=V)
-    hs = wt.h1 * 0.5 ** np.arange(7, -1, -1)
-    expected = {}
-    for h in hs:
+    ref = e4_reference(wt.spec, wt.h1, r, V)
+    assert rep.min_margin == float(ref.min())
+    assert rep.argmin == float(r[np.argmin(ref)])
+    ladder = wt.h1 * 0.5 ** np.arange(7, -1, -1)
+    spread = np.sqrt(np.linspace(wt.h1**2 / 64.0, wt.h1**2, 64))
+    per_h = []
+    for h in np.concatenate([ladder, spread]):
         m = e4_margin(wt.spec, h, r, V)
         assert np.array_equal(m, e4_reference(wt.spec, h, r, V))
-        expected[float(h)] = float(m.min())
-    assert rep.detail["per_h_min"] == expected
-    assert rep.min_margin == min(expected.values())
+        per_h.append(float(m.min()))
+        assert rep.min_margin <= per_h[-1]
+    assert rep.min_margin == pytest.approx(min(per_h[: ladder.size]), rel=0, abs=1e-12)
 
 
 # ----------------------------------------------------------------------------
