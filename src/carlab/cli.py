@@ -271,13 +271,14 @@ def cmd_verify(cfg, out: Path, tolerance: float | None = None) -> int:
     # E is not passed: the trapping gate A > E only matters for sweeps
     pot_id, pot = _potential(cfg)
     v_inst = catalog_radial(pot_id, p.delta0, wt.grid.nodes, **pot)
-    out_reports = [
+    checks = [r.to_dict() for r in (
         verify_psi_inequality(spec, margin_nodes, tolerance=tol),
         verify_E4_inequality(wt, tolerance=tol),
         verify_psi_inequality(spec, wt.grid.nodes, potential=v_inst, tolerance=tol),
         verify_E4_inequality(wt, potential=v_inst, tolerance=tol),
         *verify_barrier_facts(wt, tolerance=tol),
-    ]
+    )]
+    payload = {"reports": checks}
 
     half = vcfg["box"]["half_width"]
     half = 2.0 * (spec.R1 + 1.0) if half == "auto" else float(half)
@@ -285,31 +286,23 @@ def cmd_verify(cfg, out: Path, tolerance: float | None = None) -> int:
     x0 = vcfg["x0"]
     if x0 == "auto":
         x0 = [shift_radius_bound(p.delta0), 0.0]
-    failures_from_errors = []
+    # a box check that cannot be made is a failing check, not a crash
     try:
-        out_reports.append(verify_shift_envelope(x0, p.delta0, disc, tolerance=tol))
+        checks.append(verify_shift_envelope(x0, p.delta0, disc, tolerance=tol).to_dict())
     except ConstructionError as exc:
-        failures_from_errors.append(("shift_envelope", str(exc)))
-    glue_payload = None
+        checks.append({"name": "shift_envelope", "error": str(exc), "pass": False})
     try:
-        glue = gluing_constants(wt, x0, disc)
-        glue_payload = {k: float(v) for k, v in asdict(glue).items()}
+        payload["gluing"] = {k: float(v) for k, v in asdict(gluing_constants(wt, x0, disc)).items()}
     except (CertificationError, ConstructionError) as exc:
-        failures_from_errors.append(("gluing_constants", str(exc)))
-
-    payload = {"reports": [r.to_dict() for r in out_reports]}
-    for name, message in failures_from_errors:
-        payload["reports"].append({"name": name, "error": message, "pass": False})
-    if glue_payload is not None:
-        payload["gluing"] = glue_payload
+        checks.append({"name": "gluing_constants", "error": str(exc), "pass": False})
     out.mkdir(parents=True, exist_ok=True)
     reports.write_report(out / "margins_report.json", payload)
 
-    failing = [r["name"] for r in payload["reports"] if not r["pass"]]
+    failing = [r["name"] for r in checks if not r["pass"]]
     if failing:
         print(f"verify: failing checks: {', '.join(failing)}", file=sys.stderr)
         return EXIT_VERIFICATION
-    print(f"verify: all {len(payload['reports'])} checks passed")
+    print(f"verify: all {len(checks)} checks passed")
     return EXIT_OK
 
 
@@ -382,28 +375,17 @@ def cmd_sweep(cfg, out: Path, assert_fits: bool = False) -> int:
 
 
 def cmd_report(cfg, out: Path) -> int:
-    summary = {"present": {}, "pass": True}
-    wpath = out / "weights_report.json"
-    if wpath.exists():
-        summary["weights"] = reports.read_report(wpath)
-        summary["present"]["weights"] = True
-    else:
-        summary["present"]["weights"] = False
-    mpath = out / "margins_report.json"
-    if mpath.exists():
-        margins = reports.read_report(mpath)
-        summary["margins"] = margins
-        summary["present"]["margins"] = True
-        summary["pass"] = summary["pass"] and all(r["pass"] for r in margins["reports"])
-    else:
-        summary["present"]["margins"] = False
-    sweeps = {}
-    for mode in ("interior", "exterior"):
-        fpath = out / f"fits_{mode}.json"
-        if fpath.exists():
-            sweeps[mode] = reports.read_report(fpath)
+    summary, sweeps = {}, {}
+    for into, key, name in ((summary, "weights", "weights_report.json"),
+                            (summary, "margins", "margins_report.json"),
+                            (sweeps, "interior", "fits_interior.json"),
+                            (sweeps, "exterior", "fits_exterior.json")):
+        if (out / name).exists():
+            into[key] = reports.read_report(out / name)
+    summary["present"] = {"weights": "weights" in summary, "margins": "margins" in summary,
+                          "sweeps": bool(sweeps)}
+    summary["pass"] = all(r["pass"] for r in summary.get("margins", {"reports": []})["reports"])
     summary["sweeps"] = sweeps
-    summary["present"]["sweeps"] = bool(sweeps)
     out.mkdir(parents=True, exist_ok=True)
     reports.write_report(out / "summary.json", summary)
     print(f"report: wrote {out / 'summary.json'}")

@@ -73,7 +73,8 @@ def _sample(mode, name, delta0, r, c, E, params) -> PotentialSample:
             f"trapping ring needs barrier height A > E, got A = {params['A']}, E = {E}"
         )
     rho = 1.0 + r
-    scaled = np.maximum(V * rho**delta0, np.abs(dV) * rho ** (1.0 + delta0))
+    with np.errstate(over="ignore"):  # an overflow leaves C infinite, rejected below
+        scaled = np.maximum(V * rho**delta0, np.abs(dV) * rho ** (1.0 + delta0))
     bound = float(scaled.max()) if name == "trapping_ring" else abs(c)
     ok = scaled <= bound * (1.0 + 1e-12)
     if not ok.all():
@@ -82,6 +83,8 @@ def _sample(mode, name, delta0, r, c, E, params) -> PotentialSample:
             f"envelope violated for '{name}': max(V (1+r)^d0, |dV| (1+r)^(1+d0)) = "
             f"{scaled[i]:.4g} exceeds C = {bound:.4g} at r = {r[i]:.6g}"
         )
+    if not np.isfinite(bound):
+        raise ConstructionError(f"envelope constant of '{name}' is not finite: C = {bound}")
     return PotentialSample(mode=mode, r=r, values=V, radial_derivative=dV, c=bound, name=name)
 
 

@@ -15,11 +15,6 @@ FLOAT_FMT = "%.17e"
 WEIGHT_COLUMNS = ("r", "psi", "u", "phi", "w", "wprime", "m")
 
 
-def fnum(x) -> float:
-    """Coerce numpy scalars for json."""
-    return float(x)
-
-
 def write_columnar(path, columns, arrays):
     arrays = [np.asarray(a, dtype=float) for a in arrays]
     n = arrays[0].size
@@ -48,28 +43,28 @@ def write_weight_table(path, wt):
 def weight_report_dict(wt) -> dict:
     res0, res1 = continuity_residuals(wt.spec)
     return {
-        "B": fnum(wt.spec.B),
-        "R0": fnum(wt.spec.R0),
-        "R1": fnum(wt.spec.R1),
-        "delta": fnum(wt.spec.delta),
-        "delta0": fnum(wt.spec.delta0),
-        "E": fnum(wt.spec.E),
-        "h": fnum(wt.h),
-        "c0": fnum(wt.c0),
-        "h1": fnum(wt.h1),
-        "C0": fnum(wt.C0),
-        "g_sup": fnum(wt.g_sup),
+        "B": float(wt.spec.B),
+        "R0": float(wt.spec.R0),
+        "R1": float(wt.spec.R1),
+        "delta": float(wt.spec.delta),
+        "delta0": float(wt.spec.delta0),
+        "E": float(wt.spec.E),
+        "h": float(wt.h),
+        "c0": float(wt.c0),
+        "h1": float(wt.h1),
+        "C0": float(wt.C0),
+        "g_sup": float(wt.g_sup),
         "residuals": {
-            "continuity_R0": fnum(res0),
-            "continuity_R1": fnum(res1),
-            "riccati": fnum(wt.riccati_resid),
+            "continuity_R0": float(res0),
+            "continuity_R1": float(res1),
+            "riccati": float(wt.riccati_resid),
             "w_jump_R0": 0.0,
-            "wprime_jump_R0": fnum(wt.wprime_jump),
+            "wprime_jump_R0": float(wt.wprime_jump),
         },
         "grid": {
             "n": int(wt.r.size),
-            "r_min": fnum(wt.r[0]),
-            "r_max": fnum(wt.r[-1]),
+            "r_min": float(wt.r[0]),
+            "r_max": float(wt.r[-1]),
         },
     }
 
@@ -112,16 +107,13 @@ def fit_report_dict(result) -> dict:
         fit = result.fit(model)
         out[model] = {
             "model": fit.model,
-            "slope": fnum(fit.slope),
-            "intercept": fnum(fit.intercept),
-            "r_squared": fnum(fit.r_squared),
+            "slope": float(fit.slope),
+            "intercept": float(fit.intercept),
+            "r_squared": float(fit.r_squared),
         }
     return out
 
 
 def write_plot_data(path, result):
-    pairs = result.plot_pairs()
-    with open(path, "w") as f:
-        f.write("inv_h,ln_norm\n")
-        for ih, ln in pairs:
-            f.write(f"{FLOAT_FMT % ih},{FLOAT_FMT % ln}\n")
+    np.savetxt(path, result.plot_pairs(), fmt=FLOAT_FMT, delimiter=",", header="inv_h,ln_norm",
+               comments="")

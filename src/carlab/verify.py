@@ -329,22 +329,33 @@ class QuadFormResult:
     implied_c: float
 
 
-def _check_support(v2d: np.ndarray, name: str):
-    k = BOUNDARY_MARGIN_CELLS
-    edge = np.concatenate([
-        v2d[:k, :].ravel(), v2d[-k:, :].ravel(), v2d[:, :k].ravel(), v2d[:, -k:].ravel()
-    ])
-    if np.any(edge != 0.0):
-        raise ConstructionError(f"support touches boundary in {name}")
-
-
-def _check_box_for_weights(disc: BoxDiscretization, wt: WeightTables):
-    # the box must reach past the flat region of phi for the indicator split
+def _form_arrays(v, wt: WeightTables, op: "DiscreteOperator", eps: float, name: str):
+    """r, m^2, |v|^2 and |(P - i eps) v|^2 at the nodes, once eps >= 0, the box
+    reaches 2 (R1 + 1) (past the flat region of phi, for the indicator split)
+    and v fits the grid with support BOUNDARY_MARGIN_CELLS inside the wall."""
+    if eps < 0.0:
+        raise ConstructionError(f"eps must be nonnegative, got {eps}")
+    disc = op.disc
     need = 2.0 * (wt.spec.R1 + 1.0)
     if disc.L < need * (1.0 - 1e-12):
         raise ConstructionError(
             f"box half-width {disc.L:.4g} below 2 (R1 + 1) = {need:.4g}"
         )
+    v = np.asarray(v, dtype=complex).ravel()
+    if v.size != disc.size:
+        raise GridMismatchError("test function does not match the grid")
+    k = BOUNDARY_MARGIN_CELLS
+    v2d = v.reshape(disc.n, disc.n)
+    if np.any(v2d[:k]) or np.any(v2d[-k:]) or np.any(v2d[:, :k]) or np.any(v2d[:, -k:]):
+        raise ConstructionError(f"support touches boundary in {name}")
+    r = disc.radii()
+    return r, eval_m(wt.spec.delta, r) ** 2, np.abs(v) ** 2, np.abs(op.apply_shifted(eps, v)) ** 2
+
+
+def _implied_c(lhs, rhs1, rhs2, h, eps) -> float:
+    """The smallest C with lhs <= C (rhs1/h^2 + eps rhs2/h); 0 when v = 0."""
+    denom = rhs1 / h**2 + eps * rhs2 / h
+    return lhs / denom if denom > 0.0 else 0.0
 
 
 def carleman_quadratic_form_test(
@@ -360,27 +371,16 @@ def carleman_quadratic_form_test(
     rhs2 = sum e^(2 phi/h) |v|^2 da
     implied_c = lhs / (rhs1/h^2 + eps rhs2/h); 0 when v = 0.
     """
-    if eps < 0.0:
-        raise ConstructionError(f"eps must be nonnegative, got {eps}")
-    disc = op.disc
-    _check_box_for_weights(disc, wt)
-    v = np.asarray(v, dtype=complex).ravel()
-    if v.size != disc.size:
-        raise GridMismatchError("test function does not match the grid")
-    _check_support(v.reshape(disc.n, disc.n), "quadratic form test")
-    r = disc.radii()
+    r, m2, av2, pv2 = _form_arrays(v, wt, op, eps, "quadratic form test")
     h = op.h
-    da = disc.cell_area()
+    da = op.disc.cell_area()
     expw = np.exp(2.0 * phi_at(wt, r) / h)
     _, wp, _ = build_w(wt.spec, r)
-    m2 = eval_m(wt.spec.delta, r) ** 2
-    pv = op.apply_shifted(eps, v)
-    lhs = float(np.sum(wp * expw * np.abs(v) ** 2) * da)
-    rhs1 = float(np.sum(m2 * expw * np.abs(pv) ** 2) * da)
-    rhs2 = float(np.sum(expw * np.abs(v) ** 2) * da)
-    denom = rhs1 / h**2 + eps * rhs2 / h
-    implied_c = lhs / denom if denom > 0.0 else 0.0
-    return QuadFormResult(lhs=lhs, rhs1=rhs1, rhs2=rhs2, implied_c=implied_c)
+    lhs = float(np.sum(wp * expw * av2) * da)
+    rhs1 = float(np.sum(m2 * expw * pv2) * da)
+    rhs2 = float(np.sum(expw * av2) * da)
+    return QuadFormResult(lhs=lhs, rhs1=rhs1, rhs2=rhs2,
+                          implied_c=_implied_c(lhs, rhs1, rhs2, h, eps))
 
 
 @dataclass(frozen=True)
@@ -411,31 +411,16 @@ def combined_estimate_test(
     h = op.h
     if eps > h:
         raise ConstructionError(f"combined estimate needs eps <= h, got eps = {eps}, h = {h}")
-    if eps < 0.0:
-        raise ConstructionError(f"eps must be nonnegative, got {eps}")
-    x0 = np.asarray(x0, dtype=float)
-    disc = op.disc
-    _check_box_for_weights(disc, wt)
-    v = np.asarray(v, dtype=complex).ravel()
-    if v.size != disc.size:
-        raise GridMismatchError("test function does not match the grid")
-    _check_support(v.reshape(disc.n, disc.n), "combined estimate test")
-    R = wt.spec.R1 + float(np.hypot(*x0))
-    r = disc.radii()
-    da = disc.cell_area()
-    m2 = eval_m(wt.spec.delta, r) ** 2
+    r, m2, av2, pv2 = _form_arrays(v, wt, op, eps, "combined estimate test")
+    R = wt.spec.R1 + float(np.hypot(*np.asarray(x0, dtype=float)))
+    da = op.disc.cell_area()
     inv_m2 = 1.0 / m2
-    av2 = np.abs(v) ** 2
-    pv2 = np.abs(op.apply_shifted(eps, v)) ** 2
     lhs_i = math.exp(-wt.C0 / h) * float(np.sum(inv_m2 * av2 * (r <= R)) * da)
     lhs_e = float(np.sum(inv_m2 * av2 * (r >= R)) * da)
     rhs1 = float(np.sum(m2 * pv2) * da)
     rhs2 = float(np.sum(av2) * da)
-    denom = rhs1 / h**2 + eps * rhs2 / h
-    implied_c = (lhs_i + lhs_e) / denom if denom > 0.0 else 0.0
-    return CombinedResult(
-        lhs_interior=lhs_i, lhs_exterior=lhs_e, rhs1=rhs1, rhs2=rhs2, implied_c=implied_c
-    )
+    return CombinedResult(lhs_interior=lhs_i, lhs_exterior=lhs_e, rhs1=rhs1, rhs2=rhs2,
+                          implied_c=_implied_c(lhs_i + lhs_e, rhs1, rhs2, h, eps))
 
 
 # ----------------------------------------------------------------------------

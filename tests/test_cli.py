@@ -151,6 +151,25 @@ def test_unrepresentable_ring_runs_without_warnings(tmp_path, capsys, command, r
 
 
 @pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("potential", [
+    {"id": "trapping_ring", "A": 1.7e308, "sigma": 1.0},
+    {"id": "radial_decay", "c": float("inf")},
+])
+def test_infinite_envelope_constant_exits_two(tmp_path, capsys, command, potential):
+    # |dV| (1+r)^(1+d0) overflowing, or c = inf, left C infinite: every
+    # sample passed its envelope, verify wrote -Infinity or NaN margins and
+    # exited 3 with overflow warnings, and the inf sweep exited 4
+    payload = {"resolvent": {"potential": potential}}
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--config", write_cfg(tmp_path, payload), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"envelope constant of '{potential['id']}' is not finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
 def test_nan_amplitude_violates_envelope(tmp_path, capsys, command):
     payload = with_leaf(BASELINE_SWEEP, "resolvent.potential",
                         {"id": "radial_decay", "c": float("nan")})
@@ -424,6 +443,34 @@ def test_report_aggregates(tmp_path):
     assert summary["present"]["weights"]
     assert summary["present"]["margins"]
     assert summary["pass"] is True
+
+
+def test_report_on_sweeps_alone(tmp_path):
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", write_cfg(tmp_path, BASELINE_SWEEP), "--out", out]) == 0
+    assert run(["report", "--out", out]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["present"] == {"weights": False, "margins": False, "sweeps": True}
+    assert summary["pass"] is True
+    assert summary["sweeps"] == {"interior": json.loads((out / "fits_interior.json").read_text())}
+    assert "weights" not in summary and "margins" not in summary
+
+
+def test_report_fails_with_a_failing_margin(tmp_path):
+    out = tmp_path / "out"
+    assert run(["verify", "--out", out]) == 3
+    assert run(["report", "--out", out]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["present"] == {"weights": False, "margins": True, "sweeps": False}
+    assert summary["margins"] == json.loads((out / "margins_report.json").read_text())
+    assert summary["pass"] is False
+
+
+def test_report_on_an_empty_directory(tmp_path):
+    assert run(["report", "--out", tmp_path]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary == {"present": {"weights": False, "margins": False, "sweeps": False},
+                       "pass": True, "sweeps": {}}
 
 
 def test_help_config_prints_schema(capsys):

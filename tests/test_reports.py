@@ -5,6 +5,7 @@ import pytest
 
 from carlab import BoxDiscretization, catalog_potential, sweep_h
 from carlab.cli import main
+from carlab.resolvent import SweepResult, SweepRow
 from carlab.reports import (
     WEIGHT_COLUMNS,
     fit_report_dict,
@@ -42,6 +43,18 @@ def test_columnar_matches_per_cell_writer(tmp_path, baseline_tables):
         " ".join("%.17e" % a[i] for a in arrays) + "\n" for i in range(arrays[0].size)
     )
     assert path.read_bytes() == expected.encode()
+
+
+def test_plot_data_matches_per_cell_writer(tmp_path):
+    rows = tuple(SweepRow(h=h, eps=1e-2, mode="interior", s=0.6, R=None, norm=norm,
+                          iterations=3, residual=0.0)
+                 for h, norm in ((0.4, 2.8), (0.3, 1.0), (3e-300, 1e300), (0.12, 0.5)))
+    for result in (SweepResult(rows=rows), SweepResult(rows=())):
+        path = tmp_path / "plot.csv"
+        write_plot_data(path, result)
+        expected = "inv_h,ln_norm\n" + "".join(
+            "%.17e,%.17e\n" % (1.0 / row.h, np.log(row.norm)) for row in result.rows)
+        assert path.read_bytes() == expected.encode()
 
 
 def test_weight_table_significant_digits(tmp_path, baseline_tables):
