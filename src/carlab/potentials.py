@@ -67,6 +67,8 @@ def _sample(mode, name, delta0, r, c, E, params) -> PotentialSample:
     polynomial, so for it the tightest constant over r is reported instead.
     """
     r = np.asarray(r, dtype=float)
+    if name != "trapping_ring" and not np.isfinite(c):
+        raise ConstructionError(f"envelope constant of '{name}' is not finite: c = {c}")
     V, dV = _radial_formulas(name, r, delta0, c, params)
     if name == "trapping_ring" and E is not None and not (params["A"] > E):
         raise ConstructionError(

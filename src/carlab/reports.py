@@ -1,7 +1,7 @@
 """Deterministic serialization: columnar tables, key/value reports, CSV.
 
-All floats are written with 17 significant digits so reruns with the same
-config and seed are byte-identical and round-trips are lossless.
+All floats are written as "%.17e", 18 significant digits, so reruns with the
+same config and seed are byte-identical and round-trips are lossless.
 """
 
 import json
@@ -14,6 +14,9 @@ FLOAT_FMT = "%.17e"
 
 WEIGHT_COLUMNS = ("r", "psi", "u", "phi", "w", "wprime", "m")
 
+# Rows formatted per block, so only one block's cells are Python floats at once.
+_ROWS = 1024
+
 
 def write_columnar(path, columns, arrays):
     arrays = [np.asarray(a, dtype=float) for a in arrays]
@@ -23,7 +26,9 @@ def write_columnar(path, columns, arrays):
     row = " ".join([FLOAT_FMT] * len(arrays)) + "\n"
     with open(path, "w") as f:
         f.write(" ".join(columns) + "\n")
-        f.writelines(row % cells for cells in zip(*(a.tolist() for a in arrays)))
+        for lo in range(0, n, _ROWS):
+            block = (a[lo:lo + _ROWS].tolist() for a in arrays)
+            f.writelines(row % cells for cells in zip(*block))
 
 
 def read_columnar(path):

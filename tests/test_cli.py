@@ -176,8 +176,24 @@ def test_nan_amplitude_violates_envelope(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert run([command, "--config", write_cfg(tmp_path, payload), "--out", out]) == 2
     err = capsys.readouterr().err
-    assert re.search(r"envelope violated for 'radial_decay'.* at r = \S+", err)
+    assert "envelope constant of 'radial_decay' is not finite: c = nan" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("c", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_non_finite_amplitude_rejected_before_sampling(tmp_path, capsys, command, c):
+    # an odd n puts a node at r = 0, where c = inf once gave dV = inf * 0 =
+    # NaN, an "invalid value" warning and an envelope message naming the NaN
+    payload = {"resolvent": {"potential": {"id": "radial_decay", "c": c}, "box": {"n": 65}}}
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--config", write_cfg(tmp_path, payload), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"envelope constant of 'radial_decay' is not finite: c = {c}" in err
+    assert "Warning" not in err and "Traceback" not in err
     assert not out.exists()
 
 

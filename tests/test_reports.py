@@ -7,6 +7,7 @@ from carlab import BoxDiscretization, catalog_potential, sweep_h
 from carlab.cli import main
 from carlab.resolvent import SweepResult, SweepRow
 from carlab.reports import (
+    _ROWS,
     WEIGHT_COLUMNS,
     fit_report_dict,
     read_columnar,
@@ -25,7 +26,7 @@ def test_weight_table_roundtrip(tmp_path, baseline_tables):
     write_weight_table(path, baseline_tables)
     header, cols = read_columnar(path)
     assert tuple(header) == WEIGHT_COLUMNS
-    # 17 significant digits round-trip float64 exactly
+    # 18 significant digits round-trip float64 exactly
     assert np.array_equal(cols["r"], baseline_tables.r)
     assert np.array_equal(cols["u"], baseline_tables.u)
     assert np.array_equal(cols["phi"], baseline_tables.phi)
@@ -42,6 +43,18 @@ def test_columnar_matches_per_cell_writer(tmp_path, baseline_tables):
     expected = " ".join(columns) + "\n" + "".join(
         " ".join("%.17e" % a[i] for a in arrays) + "\n" for i in range(arrays[0].size)
     )
+    assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("rows", [0, 2 * _ROWS + 1])
+def test_blocked_columnar_matches_one_pass_writer(tmp_path, rows):
+    rng = np.random.default_rng(20)
+    arrays = [rng.standard_normal(rows), np.geomspace(1e-300, 1e300, rows), -np.arange(rows)]
+    columns = ("a", "b", "c")
+    path = tmp_path / "table.txt"
+    write_columnar(path, columns, arrays)
+    row = "%.17e %.17e %.17e\n"
+    expected = "a b c\n" + "".join(row % cells for cells in zip(*(a.tolist() for a in arrays)))
     assert path.read_bytes() == expected.encode()
 
 
