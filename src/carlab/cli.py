@@ -36,6 +36,7 @@ from .weights import (
     PsiSearch,
     PsiSpec,
     build_weight_tables,
+    compute_g_and_h1,
     default_r1,
     find_psi_constants,
     margin_scan_nodes,
@@ -72,7 +73,7 @@ SCHEMA = {
                    + ", ".join(f.name for f in fields(PsiSearch)) + "};\n"
                    "margin_nodes and span are checked but not read: the\n"
                    "search certifies each R1 on all of r >= 0"),
-        "h": ("auto", '"auto" | float', "table h; auto = h1/2"),
+        "h": ("auto", '"auto" | float', "table h, read by `weights` only; auto = h1/2"),
         "grid": {
             "n_inner": (400, "int >= 0", "nodes on [r_min, R0], at least 5"),
             "n_mid": (2400, "int >= 0", "nodes on [R0, R1], at least 5"),
@@ -80,8 +81,9 @@ SCHEMA = {
             "r_min": (None, "null | float", "in (0, R0); null = min(1e-4, R0/64)"),
             "r_max": (None, "null | float", "at least 2 R1; null = 2 R1"),
         },
-        "substep_factor": (80.0, "float > 0", "RK4 substep bound h/substep_factor"),
-        "residual_tol": (1e-6, "float", "Riccati residual gate"),
+        "substep_factor": (80.0, "float > 0",
+                           "RK4 substep <= h/substep_factor, read by `weights` only"),
+        "residual_tol": (1e-6, "float", "Riccati residual gate, read by `weights` only"),
     },
     "verify": {
         "tolerance": (1e-12, "float", "margin acceptance threshold"),
@@ -229,20 +231,10 @@ def _potential(cfg) -> tuple[str, dict]:
     return pot.pop("id"), {k: float(v) for k, v in pot.items()}
 
 
-def _tables(cfg, spec: PsiSpec):
-    wcfg = cfg["weights"]
-    g = wcfg["grid"]
-    grid = radial_grid(
-        spec,
-        r_min=g["r_min"], r_max=g["r_max"],
-        n_inner=int(g["n_inner"]), n_mid=int(g["n_mid"]), n_outer=int(g["n_outer"]),
-    )
-    h = wcfg["h"]
-    return build_weight_tables(
-        spec, None if h == "auto" else float(h), grid,
-        substep_factor=float(wcfg["substep_factor"]),
-        residual_tol=float(wcfg["residual_tol"]),
-    )
+def _grid(cfg, spec: PsiSpec):
+    g = cfg["weights"]["grid"]
+    return radial_grid(spec, r_min=g["r_min"], r_max=g["r_max"], n_inner=int(g["n_inner"]),
+                       n_mid=int(g["n_mid"]), n_outer=int(g["n_outer"]))
 
 
 # ----------------------------------------------------------------------------
@@ -250,8 +242,12 @@ def _tables(cfg, spec: PsiSpec):
 # ----------------------------------------------------------------------------
 
 def cmd_weights(cfg, out: Path) -> int:
-    p = _params(cfg)
-    wt = _tables(cfg, _spec(cfg, p))
+    wcfg = cfg["weights"]
+    spec = _spec(cfg, _params(cfg))
+    wt = build_weight_tables(
+        spec, None if wcfg["h"] == "auto" else float(wcfg["h"]), _grid(cfg, spec),
+        substep_factor=float(wcfg["substep_factor"]), residual_tol=float(wcfg["residual_tol"]),
+    )
     out.mkdir(parents=True, exist_ok=True)
     reports.write_weight_table(out / "weights_table.txt", wt)
     reports.write_report(out / "weights_report.json", reports.weight_report_dict(wt))
@@ -262,7 +258,10 @@ def cmd_weights(cfg, out: Path) -> int:
 def cmd_verify(cfg, out: Path, tolerance: float | None = None) -> int:
     p = _params(cfg)
     spec = _spec(cfg, p)
-    wt = _tables(cfg, spec)
+    # the chain reads psi, w, w', m and h1 only: phi and its Riccati solve
+    # enter C0, not a margin; h1 comes from the scan build_weight_tables makes
+    nodes = _grid(cfg, spec).nodes
+    h1 = compute_g_and_h1(spec, spec.E, extra_nodes=nodes).h1
     vcfg = cfg["verify"]
     tol = float(vcfg["tolerance"]) if tolerance is None else tolerance
 
@@ -270,13 +269,13 @@ def cmd_verify(cfg, out: Path, tolerance: float | None = None) -> int:
     # instance margins for the configured catalog potential, radial sampling;
     # E is not passed: the trapping gate A > E only matters for sweeps
     pot_id, pot = _potential(cfg)
-    v_inst = catalog_radial(pot_id, p.delta0, wt.grid.nodes, **pot)
+    v_inst = catalog_radial(pot_id, p.delta0, nodes, **pot)
     checks = [r.to_dict() for r in (
         verify_psi_inequality(spec, margin_nodes, tolerance=tol),
-        verify_E4_inequality(wt, tolerance=tol),
-        verify_psi_inequality(spec, wt.grid.nodes, potential=v_inst, tolerance=tol),
-        verify_E4_inequality(wt, potential=v_inst, tolerance=tol),
-        *verify_barrier_facts(wt, tolerance=tol),
+        verify_E4_inequality(spec, nodes, h1, tolerance=tol),
+        verify_psi_inequality(spec, nodes, potential=v_inst, tolerance=tol),
+        verify_E4_inequality(spec, nodes, h1, potential=v_inst, tolerance=tol),
+        *verify_barrier_facts(spec, nodes, tolerance=tol),
     )]
     payload = {"reports": checks}
 
@@ -292,7 +291,8 @@ def cmd_verify(cfg, out: Path, tolerance: float | None = None) -> int:
     except ConstructionError as exc:
         checks.append({"name": "shift_envelope", "error": str(exc), "pass": False})
     try:
-        payload["gluing"] = {k: float(v) for k, v in asdict(gluing_constants(wt, x0, disc)).items()}
+        glue = gluing_constants(spec, x0, disc)
+        payload["gluing"] = {k: float(v) for k, v in asdict(glue).items()}
     except (CertificationError, ConstructionError) as exc:
         checks.append({"name": "gluing_constants", "error": str(exc), "pass": False})
     out.mkdir(parents=True, exist_ok=True)

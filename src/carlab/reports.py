@@ -32,9 +32,11 @@ def write_columnar(path, columns, arrays):
 
 
 def read_columnar(path):
+    """The header and its columns; a header-only table gives 0-length columns."""
     with open(path) as f:
         header = f.readline().split()
-    data = np.loadtxt(path, skiprows=1, ndmin=2)
+        rows = f.readlines()
+    data = np.loadtxt(rows, ndmin=2) if rows else np.empty((0, len(header)))
     return header, {name: data[:, j] for j, name in enumerate(header)}
 
 

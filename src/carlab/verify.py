@@ -170,11 +170,13 @@ def e4_margin(
 
 
 def verify_E4_inequality(
-    wt: WeightTables,
+    spec: PsiSpec,
+    nodes,
+    h1: float,
     potential: PotentialSample | None = None,
     tolerance: float = DEFAULT_TOL,
 ) -> MarginReport:
-    """Minimum E/4 margin over the grid, certified for every h in (0, h1].
+    """Minimum E/4 margin over the nodes, certified for every h in (0, h1].
 
     One evaluation at h = h1 suffices.  4 r^2 g(r) <= -1 for all r > 0,
     because (1+r)((1+r)^delta - 1) >= delta (1+r) ln(1+r) >= delta r; so
@@ -182,37 +184,27 @@ def verify_E4_inequality(
     At every node the margin is smallest at h1, in floating point too, since
     rounding is monotone.
     """
-    r = wt.grid.nodes
+    r = np.asarray(nodes, dtype=float)
     return _report(f"e4_inequality[{_kind(potential, r)}]",
-                   e4_margin(wt.spec, wt.h1, r, potential), r, tolerance)
+                   e4_margin(spec, h1, r, potential), r, tolerance)
 
 
-def verify_barrier_facts(wt: WeightTables, tolerance: float = DEFAULT_TOL) -> list:
-    """Pointwise barrier facts on the full table grid:
+def verify_barrier_facts(spec: PsiSpec, nodes, tolerance: float = DEFAULT_TOL) -> list:
+    """Pointwise barrier facts on the nodes:
 
     w' > 0; 2w/r - w' >= 0; w^2/w' + w^2 <= (1+delta) w/w';
     w/w' <= max(2/delta, R0/2) m^2.
     """
-    spec = wt.spec
-    r = wt.grid.nodes
-    w, wp = wt.w, wt.wprime
-    reports = [
+    r = np.asarray(nodes, dtype=float)
+    w, wp, _ = build_w(spec, r)
+    m2_cap = max(2.0 / spec.delta, spec.R0 / 2.0) * eval_m(spec.delta, r) ** 2
+    return [
         _report("barrier:wprime_positive", wp, r, 0.0),
         _report("barrier:2w_over_r_minus_wprime", 2.0 * w / r - wp, r, tolerance),
-        _report(
-            "barrier:one_plus_delta_cap",
-            (1.0 + spec.delta) * w / wp - (w**2 / wp + w**2),
-            r,
-            tolerance,
-        ),
-        _report(
-            "barrier:w_over_wprime_vs_m2",
-            max(2.0 / spec.delta, spec.R0 / 2.0) * wt.m**2 - w / wp,
-            r,
-            tolerance,
-        ),
+        _report("barrier:one_plus_delta_cap",
+                (1.0 + spec.delta) * w / wp - (w**2 / wp + w**2), r, tolerance),
+        _report("barrier:w_over_wprime_vs_m2", m2_cap - w / wp, r, tolerance),
     ]
-    return reports
 
 
 # ----------------------------------------------------------------------------
@@ -259,7 +251,7 @@ class GluingConstants:
     edge_cap: float
 
 
-def gluing_constants(wt: WeightTables, x0, disc: BoxDiscretization) -> GluingConstants:
+def gluing_constants(spec: PsiSpec, x0, disc: BoxDiscretization) -> GluingConstants:
     """Constants of the two-center gluing step.
 
     K bounds m^-2 <= K (w' + w'(|.-x0|)) and m^2 + m(|.-x0|)^2 <= K m^2
@@ -275,7 +267,6 @@ def gluing_constants(wt: WeightTables, x0, disc: BoxDiscretization) -> GluingCon
     r0 = float(np.hypot(*x0))
     if r0 <= 0.0:
         raise ConstructionError("gluing needs a nonzero shift x0")
-    spec = wt.spec
     X, Y = disc.mesh()
     rx = np.hypot(X, Y).ravel()
     rs = np.hypot(X - x0[0], Y - x0[1]).ravel()
@@ -330,11 +321,14 @@ class QuadFormResult:
 
 
 def _form_arrays(v, wt: WeightTables, op: "DiscreteOperator", eps: float, name: str):
-    """r, m^2, |v|^2 and |(P - i eps) v|^2 at the nodes, once eps >= 0, the box
-    reaches 2 (R1 + 1) (past the flat region of phi, for the indicator split)
-    and v fits the grid with support BOUNDARY_MARGIN_CELLS inside the wall."""
+    """r, m^2, |v|^2 and |(P - i eps) v|^2 at the nodes, once eps >= 0, the
+    tables' phi solves the flow at the operator's h, the box reaches
+    2 (R1 + 1) (past the flat region of phi, for the indicator split) and v
+    fits the grid with support BOUNDARY_MARGIN_CELLS inside the wall."""
     if eps < 0.0:
         raise ConstructionError(f"eps must be nonnegative, got {eps}")
+    if op.h != wt.h:
+        raise GridMismatchError(f"tables built at h = {wt.h!r}, operator at h = {op.h!r}")
     disc = op.disc
     need = 2.0 * (wt.spec.R1 + 1.0)
     if disc.L < need * (1.0 - 1e-12):

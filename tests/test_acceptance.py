@@ -165,7 +165,7 @@ def test_criterion_4_e4_certificate(certified_tables):
     wt = certified_tables
     hs = wt.h1 * 0.5 ** np.arange(7, -1, -1)
     assert hs[-1] == wt.h1  # h = h1 hit exactly
-    rep = verify_E4_inequality(wt)
+    rep = verify_E4_inequality(wt.spec, wt.grid.nodes, wt.h1)
     # independent recomputation of the plateau branch at every h
     from carlab.verify import e4_margin
     from carlab.weights import build_w
@@ -193,7 +193,7 @@ def test_criterion_4_e4_certificate(certified_tables):
 def test_criterion_5_barrier_facts(combo_tables):
     worst = {}
     for wt in combo_tables.values():
-        for rep in verify_barrier_facts(wt):
+        for rep in verify_barrier_facts(wt.spec, wt.grid.nodes):
             key = rep.name
             worst[key] = min(worst.get(key, np.inf), rep.min_margin)
     ok = worst["barrier:wprime_positive"] > 0.0 and all(
@@ -216,7 +216,7 @@ def test_criterion_6_shift_and_gluing(baseline_tables):
     rep = verify_shift_envelope([bound, 0.0], 0.4, disc)
     with pytest.raises(ConstructionError):
         verify_shift_envelope([1.01 * bound, 0.0], 0.4, disc)
-    glue = gluing_constants(baseline_tables, [0.5, 0.0], disc)
+    glue = gluing_constants(spec, [0.5, 0.0], disc)
     ok = (
         rep.passed
         and bound == formula
@@ -333,10 +333,9 @@ def test_criterion_8_scaling_shapes_literal(sweep_setup):
 # 9. quadratic-form ensemble
 # ----------------------------------------------------------------------------
 
-def _ensemble_values(baseline_tables, disc, ops, bumps):
-    wt = baseline_tables
+def _ensemble_values(tables, ops, bumps):
     values = []
-    for op in ops:
+    for wt, op in zip(tables, ops):
         for v in bumps:
             qf = carleman_quadratic_form_test(v, wt, op, eps=op.h / 4.0)
             ce = combined_estimate_test(v, wt, op, [0.5, 0.0], eps=op.h / 4.0)
@@ -349,12 +348,14 @@ def test_criterion_9_quadratic_form_ensemble(baseline_tables):
     disc = BoxDiscretization(L=2.0 * (wt.spec.R1 + 1.0), n=129)
     V = catalog_potential("zero", 0.4, disc)
     hs = np.geomspace(wt.h1 / 10.0, wt.h1, 4)
-    ops = [assemble(V, 1.0, float(h), disc, check_resolution=False) for h in hs]
+    # each operator with tables built at its own h, so phi solves its flow
+    tables = [build_weight_tables(wt.spec, float(h), wt.grid) for h in hs]
+    ops = [assemble(V, 1.0, t.h, disc, check_resolution=False) for t in tables]
 
     def build_values():
         rng = np.random.default_rng(20240817)
         bumps = bump_ensemble(disc, 50, rng, wt.spec.R1 + 1.0)
-        return _ensemble_values(wt, disc, ops, bumps)
+        return _ensemble_values(tables, ops, bumps)
 
     values = build_values()
     finite = all(np.isfinite(a) and np.isfinite(b) for a, b in values)
@@ -362,12 +363,13 @@ def test_criterion_9_quadratic_form_ensemble(baseline_tables):
     rng = np.random.default_rng(20240817)
     bumps = bump_ensemble(disc, 50, rng, wt.spec.R1 + 1.0)
     scale_ok = True
+    wt0, op0 = tables[0], ops[0]
     for lam in (2.0, 10.0, -3.0):
-        qf_a = carleman_quadratic_form_test(bumps[0], wt, ops[0], eps=ops[0].h / 4.0)
-        qf_b = carleman_quadratic_form_test(lam * bumps[0], wt, ops[0], eps=ops[0].h / 4.0)
+        qf_a = carleman_quadratic_form_test(bumps[0], wt0, op0, eps=op0.h / 4.0)
+        qf_b = carleman_quadratic_form_test(lam * bumps[0], wt0, op0, eps=op0.h / 4.0)
         scale_ok = scale_ok and abs(qf_b.implied_c - qf_a.implied_c) <= 1e-10 * abs(qf_a.implied_c)
-        ce_a = combined_estimate_test(bumps[0], wt, ops[0], [0.5, 0.0], eps=ops[0].h / 4.0)
-        ce_b = combined_estimate_test(lam * bumps[0], wt, ops[0], [0.5, 0.0], eps=ops[0].h / 4.0)
+        ce_a = combined_estimate_test(bumps[0], wt0, op0, [0.5, 0.0], eps=op0.h / 4.0)
+        ce_b = combined_estimate_test(lam * bumps[0], wt0, op0, [0.5, 0.0], eps=op0.h / 4.0)
         scale_ok = scale_ok and abs(ce_b.implied_c - ce_a.implied_c) <= 1e-10 * abs(ce_a.implied_c)
 
     blob1 = "\n".join("%.17e %.17e" % v for v in values)

@@ -389,16 +389,28 @@ def test_overflowing_default_r1_exits_two(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["weights", "verify"])
-@pytest.mark.parametrize("weights, message", [
-    ({"h": 1e-12}, "RK4 substeps, more than"),  # once a MemoryError, asking for 1.26 PiB
-    ({"h": 1e-20}, "RK4 substeps, more than"),  # once numpy's "array is too big"
-    ({"substep_factor": 1e300}, "RK4 substeps, more than"),  # once "negative dimensions"
-    ({"grid": {"n_inner": 0, "n_mid": 0, "n_outer": 0}},  # once an IndexError in radial_grid
-     "need at least 5 nodes per grid segment"),
-    ({"grid": {"n_mid": 4}}, "need at least 5 nodes per grid segment"),
-    ({"r1": 1e-300}, "g tail bound underflows"),  # once a ZeroDivisionError: r^3 is 0
-], ids=["h-1e-12", "h-1e-20", "substep_factor-1e300", "grid-zeros", "grid-n_mid-4", "r1-1e-300"])
+# settings only the Riccati solve reads: weights exits 2, verify never solves
+RK4_ONLY = {
+    "h-1e-12": {"h": 1e-12},  # once a MemoryError, asking for 1.26 PiB
+    "h-1e-20": {"h": 1e-20},  # once numpy's "array is too big"
+    "substep_factor-1e300": {"substep_factor": 1e300},  # once "negative dimensions"
+    "r1-1e5": {"r1": 1e5},  # 3.76e7 substeps
+}
+# settings the grid or the g/h1 scan reject, for both commands
+UNGRIDDABLE = {
+    "grid-zeros": ({"grid": {"n_inner": 0, "n_mid": 0, "n_outer": 0}},  # once an IndexError
+                   "need at least 5 nodes per grid segment"),
+    "grid-n_mid-4": ({"grid": {"n_mid": 4}}, "need at least 5 nodes per grid segment"),
+    "r1-1e-300": ({"r1": 1e-300}, "g tail bound underflows"),  # once a ZeroDivisionError
+}
+
+
+@pytest.mark.parametrize("command, weights, message", [
+    *(pytest.param("weights", w, "RK4 substeps, more than", id=f"{i}-weights")
+      for i, w in RK4_ONLY.items()),
+    *(pytest.param(c, w, m, id=f"{i}-{c}") for i, (w, m) in UNGRIDDABLE.items()
+      for c in ("weights", "verify")),
+])
 def test_unbuildable_weights_exit_two_before_allocating(tmp_path, capsys, monkeypatch,
                                                         command, weights, message):
     def no_abscissae(*args):
@@ -410,6 +422,43 @@ def test_unbuildable_weights_exit_two_before_allocating(tmp_path, capsys, monkey
     assert run([command, "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def no_riccati_solve(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the Riccati kernel ran")
+
+    monkeypatch.setattr(kernels, "riccati_backward", fail)
+    monkeypatch.setattr(carlab.weights, "riccati_backward", fail)
+
+
+@pytest.mark.parametrize("weights", [*RK4_ONLY.values(), {"h": -1}, {"r1": 1e4}],
+                         ids=[*RK4_ONLY, "h--1", "r1-1e4"])
+def test_verify_reads_no_table_settings(tmp_path, capsys, monkeypatch, weights):
+    # these once exited 2 from the Riccati solve; verify never solves, so it
+    # exits by its margins (the baseline's fail) and writes its report
+    no_riccati_solve(monkeypatch)
+    cfg = write_cfg(tmp_path, {"weights": weights})
+    out = tmp_path / "out"
+    assert run(["verify", "--config", cfg, "--out", out]) == 3
+    assert "verify: failing checks: psi_inequality[envelope]" in capsys.readouterr().err
+    assert (out / "margins_report.json").exists()
+
+
+@pytest.mark.parametrize("config, code", [("baseline.json", 3), ("certified.json", 0)])
+def test_verify_runs_no_riccati_solve(tmp_path, monkeypatch, config, code):
+    no_riccati_solve(monkeypatch)
+    cfg = Path(__file__).resolve().parents[1] / "configs" / config
+    assert run(["verify", "--config", cfg, "--out", tmp_path / "out"]) == code
+
+
+def test_residual_gate_exits_two_at_large_r1(tmp_path, capsys):
+    # at R1 = 1e4 the default grid leaves the Riccati residual at 1.5e-5
+    cfg = write_cfg(tmp_path, {"weights": {"r1": 1e4}})
+    out = tmp_path / "out"
+    assert run(["weights", "--config", cfg, "--out", out]) == 2
+    assert "residual above tolerance" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -58,6 +58,18 @@ def test_blocked_columnar_matches_one_pass_writer(tmp_path, rows):
     assert path.read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("rows", [0, 1, 3])
+def test_columnar_roundtrip_two_columns(tmp_path, rows):
+    # a header-only table once warned "input contained no data" and raised IndexError
+    arrays = [np.arange(rows) / 3.0, -np.geomspace(1e-300, 1e300, rows)]
+    path = tmp_path / "table.txt"
+    write_columnar(path, ("a", "b"), arrays)
+    header, cols = read_columnar(path)
+    assert header == ["a", "b"]
+    for name, a in zip(header, arrays):
+        assert cols[name].shape == (rows,) and np.array_equal(cols[name], a)
+
+
 def test_plot_data_matches_per_cell_writer(tmp_path):
     rows = tuple(SweepRow(h=h, eps=1e-2, mode="interior", s=0.6, R=None, norm=norm,
                           iterations=3, residual=0.0)

@@ -6,6 +6,7 @@ from carlab import (
     ConstructionError,
     GridMismatchError,
     assemble,
+    build_weight_tables,
     bump,
     carleman_quadratic_form_test,
     catalog_potential,
@@ -20,11 +21,18 @@ from carlab import (
     verify_shift_envelope,
 )
 from carlab.verify import e4_margin
-from carlab.weights import build_w, eval_g, eval_psi, eval_psi_prime, margin_scan_nodes
+from carlab.weights import (
+    build_w,
+    compute_g_and_h1,
+    eval_g,
+    eval_psi,
+    eval_psi_prime,
+    margin_scan_nodes,
+)
 
 # regression locks for the baseline construction (deterministic pipeline)
 GLUING_K_BASELINE = 8.133538283982741
-IMPLIED_C_ORIGIN_BUMP = 0.00013629466233481248
+IMPLIED_C_ORIGIN_BUMP = 0.00013602326153405449  # tables and operator both at h1/2
 
 
 @pytest.fixture(scope="module")
@@ -33,12 +41,13 @@ def verify_box(baseline_spec):
 
 
 @pytest.fixture(scope="module")
-def qf_setup(baseline_spec, baseline_tables):
+def qf_setup(baseline_spec):
+    # tables at h1/2 and an operator at the same h: phi solves the flow at op.h
+    wt = build_weight_tables(baseline_spec)
     disc = BoxDiscretization(L=2.0 * (baseline_spec.R1 + 1.0), n=129)
     V = catalog_potential("zero", baseline_spec.delta0, disc)
-    h = baseline_tables.h1 / 2.0
-    op = assemble(V, baseline_spec.E, h, disc, check_resolution=False)
-    return disc, op
+    op = assemble(V, baseline_spec.E, wt.h, disc, check_resolution=False)
+    return disc, op, wt
 
 
 # ----------------------------------------------------------------------------
@@ -80,7 +89,7 @@ def test_instance_needs_matching_grid(baseline_spec, baseline_tables):
     for bad in (nodes[::-1], nodes[:-1]):
         ring = catalog_radial("trapping_ring", wt.spec.delta0, bad, A=2.0, rho=1.0, sigma=0.25)
         with pytest.raises(GridMismatchError, match="grid mismatch"):
-            verify_E4_inequality(wt, potential=ring)
+            verify_E4_inequality(wt.spec, nodes, wt.h1, potential=ring)
         with pytest.raises(GridMismatchError, match="grid mismatch"):
             e4_margin(wt.spec, wt.h1, nodes, ring)
 
@@ -134,14 +143,16 @@ def test_vphi_recomputable_from_serialized_table(tmp_path, baseline_tables):
 # ----------------------------------------------------------------------------
 
 def test_e4_envelope_certified(certified_tables):
-    rep = verify_E4_inequality(certified_tables)
+    wt = certified_tables
+    rep = verify_E4_inequality(wt.spec, wt.grid.nodes, wt.h1)
     assert rep.passed
     assert rep.min_margin >= -1e-12
 
 
 def test_e4_negative_at_baseline(baseline_tables):
     # inherits the profile-inequality refutation at delta = delta0/2
-    rep = verify_E4_inequality(baseline_tables)
+    wt = baseline_tables
+    rep = verify_E4_inequality(wt.spec, wt.grid.nodes, wt.h1)
     assert not rep.passed
 
 
@@ -218,7 +229,7 @@ def test_e4_verify_equals_per_h_margins(request, tables, instance):
     r = wt.grid.nodes
     V = catalog_radial("trapping_ring", wt.spec.delta0, r, A=2.0, rho=1.0, sigma=0.25) \
         if instance else None
-    rep = verify_E4_inequality(wt, potential=V)
+    rep = verify_E4_inequality(wt.spec, r, wt.h1, potential=V)
     ref = e4_reference(wt.spec, wt.h1, r, V)
     assert rep.min_margin == float(ref.min())
     assert rep.argmin == float(r[np.argmin(ref)])
@@ -239,8 +250,35 @@ def test_e4_verify_equals_per_h_margins(request, tables, instance):
 
 def test_barrier_facts_all_combos(combo_tables):
     for wt in combo_tables.values():
-        for rep in verify_barrier_facts(wt):
+        for rep in verify_barrier_facts(wt.spec, wt.grid.nodes):
             assert rep.passed, f"{rep.name}: {rep.min_margin}"
+
+
+@pytest.mark.parametrize("tables", ["baseline_tables", "certified_tables"])
+def test_chain_from_spec_equals_chain_from_tables(request, tables):
+    # the verifiers rebuild w, w', m and h1 from the spec and the nodes; each
+    # report equals the one the tables' own arrays give, bit for bit
+    wt = request.getfixturevalue(tables)
+    r = wt.grid.nodes
+    h1 = compute_g_and_h1(wt.spec, wt.spec.E, extra_nodes=r).h1
+    assert h1 == wt.h1
+    w, wp, d = wt.w, wt.wprime, wt.spec.delta
+    expected = {
+        "barrier:wprime_positive": wp,
+        "barrier:2w_over_r_minus_wprime": 2.0 * w / r - wp,
+        "barrier:one_plus_delta_cap": (1.0 + d) * w / wp - (w**2 / wp + w**2),
+        "barrier:w_over_wprime_vs_m2": max(2.0 / d, wt.spec.R0 / 2.0) * wt.m**2 - w / wp,
+    }
+    reports = verify_barrier_facts(wt.spec, r)
+    assert [rep.name for rep in reports] == list(expected)
+    for rep in reports:
+        margins = expected[rep.name]
+        assert (rep.min_margin, rep.argmin) == (float(margins.min()), float(r[np.argmin(margins)]))
+    ring = catalog_radial("trapping_ring", wt.spec.delta0, r, A=2.0, rho=1.0, sigma=0.25)
+    for V in (None, ring):
+        margins = e4_margin(wt.spec, wt.h1, r, V)
+        rep = verify_E4_inequality(wt.spec, r, h1, potential=V)
+        assert (rep.min_margin, rep.argmin) == (float(margins.min()), float(r[np.argmin(margins)]))
 
 
 # ----------------------------------------------------------------------------
@@ -291,61 +329,72 @@ def test_random_boundary_shifts_pass(verify_box, rng):
 # gluing constants
 # ----------------------------------------------------------------------------
 
-def test_gluing_r_exact(baseline_tables, verify_box):
-    glue = gluing_constants(baseline_tables, [0.5, 0.0], verify_box)
-    assert glue.R == baseline_tables.spec.R1 + 0.5
+def test_gluing_r_exact(baseline_spec, verify_box):
+    glue = gluing_constants(baseline_spec, [0.5, 0.0], verify_box)
+    assert glue.R == baseline_spec.R1 + 0.5
 
 
-def test_gluing_k_finite_and_certified(baseline_tables, verify_box):
-    glue = gluing_constants(baseline_tables, [0.5, 0.0], verify_box)
+def test_gluing_k_finite_and_certified(baseline_spec, verify_box):
+    glue = gluing_constants(baseline_spec, [0.5, 0.0], verify_box)
     assert np.isfinite(glue.K)
     assert glue.edge_floor <= glue.k_weight_floor
     assert glue.edge_cap <= glue.k_weight_cap
     assert glue.K == pytest.approx(GLUING_K_BASELINE, rel=1e-12)
 
 
-def test_gluing_rejects_zero_shift(baseline_tables, verify_box):
+def test_gluing_rejects_zero_shift(baseline_spec, verify_box):
     with pytest.raises(ConstructionError, match="nonzero shift"):
-        gluing_constants(baseline_tables, [0.0, 0.0], verify_box)
+        gluing_constants(baseline_spec, [0.0, 0.0], verify_box)
 
 
 # ----------------------------------------------------------------------------
 # quadratic-form tests
 # ----------------------------------------------------------------------------
 
-def test_qf_zero_function(baseline_tables, qf_setup):
-    disc, op = qf_setup
-    res = carleman_quadratic_form_test(np.zeros(disc.size), baseline_tables, op, eps=0.0)
+def test_qf_zero_function(qf_setup):
+    disc, op, wt = qf_setup
+    res = carleman_quadratic_form_test(np.zeros(disc.size), wt, op, eps=0.0)
     assert (res.lhs, res.rhs1, res.rhs2, res.implied_c) == (0.0, 0.0, 0.0, 0.0)
 
 
-def test_qf_origin_bump_regression(baseline_tables, qf_setup):
-    disc, op = qf_setup
+def test_qf_origin_bump_regression(qf_setup):
+    disc, op, wt = qf_setup
     v = bump(disc, (0.0, 0.0), 1.0)
-    res = carleman_quadratic_form_test(v, baseline_tables, op, eps=0.0)
+    res = carleman_quadratic_form_test(v, wt, op, eps=0.0)
     assert np.isfinite(res.implied_c)
     assert res.implied_c == pytest.approx(IMPLIED_C_ORIGIN_BUMP, rel=1e-12)
 
 
 @pytest.mark.parametrize("lam", [2.0, 10.0, -3.0])
-def test_qf_homogeneity(baseline_tables, qf_setup, lam):
-    disc, op = qf_setup
+def test_qf_homogeneity(qf_setup, lam):
+    disc, op, wt = qf_setup
     v = bump(disc, (0.5, -0.3), 0.8)
-    a = carleman_quadratic_form_test(v, baseline_tables, op, eps=op.h / 2.0)
-    b = carleman_quadratic_form_test(lam * v, baseline_tables, op, eps=op.h / 2.0)
+    a = carleman_quadratic_form_test(v, wt, op, eps=op.h / 2.0)
+    b = carleman_quadratic_form_test(lam * v, wt, op, eps=op.h / 2.0)
     assert b.lhs == pytest.approx(lam**2 * a.lhs, rel=1e-12)
     assert b.implied_c == pytest.approx(a.implied_c, rel=1e-10)
 
 
-def test_qf_support_gate(baseline_tables, qf_setup):
-    disc, op = qf_setup
+def test_qf_support_gate(qf_setup):
+    disc, op, wt = qf_setup
     v = np.ones(disc.size)
     with pytest.raises(ConstructionError, match="support touches boundary"):
+        carleman_quadratic_form_test(v, wt, op, eps=0.0)
+
+
+def test_forms_need_tables_at_the_operators_h(baseline_tables, qf_setup):
+    # phi at one h and the operator at another would mix two problems
+    disc, op, _ = qf_setup
+    assert baseline_tables.h != op.h
+    v = bump(disc, (0.0, 0.0), 1.0)
+    with pytest.raises(GridMismatchError, match="tables built at h"):
         carleman_quadratic_form_test(v, baseline_tables, op, eps=0.0)
+    with pytest.raises(GridMismatchError, match="tables built at h"):
+        combined_estimate_test(v, baseline_tables, op, [0.5, 0.0], eps=0.0)
 
 
 def test_bump_leaving_safe_region_rejected(qf_setup):
-    disc, _ = qf_setup
+    disc, _, _ = qf_setup
     with pytest.raises(ConstructionError, match="safe region"):
         bump(disc, (disc.L, 0.0), 1.0)
 
@@ -354,24 +403,24 @@ def test_bump_leaving_safe_region_rejected(qf_setup):
 # combined estimate
 # ----------------------------------------------------------------------------
 
-def test_combined_zero_function(baseline_tables, qf_setup):
-    disc, op = qf_setup
-    res = combined_estimate_test(np.zeros(disc.size), baseline_tables, op, [0.5, 0.0], eps=0.0)
+def test_combined_zero_function(qf_setup):
+    disc, op, wt = qf_setup
+    res = combined_estimate_test(np.zeros(disc.size), wt, op, [0.5, 0.0], eps=0.0)
     assert res.lhs_interior == res.lhs_exterior == res.rhs1 == res.rhs2 == 0.0
     assert res.implied_c == 0.0
 
 
-def test_combined_exterior_support(baseline_tables, qf_setup):
-    disc, op = qf_setup
-    R = baseline_tables.spec.R1 + 0.5
+def test_combined_exterior_support(qf_setup):
+    disc, op, wt = qf_setup
+    R = wt.spec.R1 + 0.5
     v = bump(disc, (R + 1.8, 0.0), 0.9)  # support entirely in |x| >= R
-    res = combined_estimate_test(v, baseline_tables, op, [0.5, 0.0], eps=op.h / 2.0)
+    res = combined_estimate_test(v, wt, op, [0.5, 0.0], eps=op.h / 2.0)
     assert res.lhs_interior == 0.0
     assert res.lhs_exterior > 0.0
 
 
-def test_combined_requires_eps_below_h(baseline_tables, qf_setup):
-    disc, op = qf_setup
+def test_combined_requires_eps_below_h(qf_setup):
+    disc, op, wt = qf_setup
     v = bump(disc, (0.0, 0.0), 1.0)
     with pytest.raises(ConstructionError, match="eps <= h"):
-        combined_estimate_test(v, baseline_tables, op, [0.5, 0.0], eps=2.0 * op.h)
+        combined_estimate_test(v, wt, op, [0.5, 0.0], eps=2.0 * op.h)
