@@ -81,8 +81,8 @@ SCHEMA = {
             "r_min": (None, "null | float", "in (0, R0); null = min(1e-4, R0/64)"),
             "r_max": (None, "null | float", "at least 2 R1; null = 2 R1"),
         },
-        "substep_factor": (80.0, "float > 0",
-                           "RK4 substep <= h/substep_factor, read by `weights` only"),
+        "substep_factor": (80.0, "float > 0", "checked but not read: the Riccati solve\n"
+                           "takes as many steps as its error estimate asks for"),
         "residual_tol": (1e-6, "float", "Riccati residual gate, read by `weights` only"),
     },
     "verify": {
@@ -246,7 +246,7 @@ def cmd_weights(cfg, out: Path) -> int:
     spec = _spec(cfg, _params(cfg))
     wt = build_weight_tables(
         spec, None if wcfg["h"] == "auto" else float(wcfg["h"]), _grid(cfg, spec),
-        substep_factor=float(wcfg["substep_factor"]), residual_tol=float(wcfg["residual_tol"]),
+        residual_tol=float(wcfg["residual_tol"]),
     )
     out.mkdir(parents=True, exist_ok=True)
     reports.write_weight_table(out / "weights_table.txt", wt)

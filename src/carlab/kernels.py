@@ -1,110 +1,115 @@
 """Hot numeric kernels.
 
-The backward Riccati integration is a scalar RK4 recurrence over the radial
-grid. Only the recurrence itself stays sequential: the RK4 abscissae and the
-profile psi at them are computed in numpy one block of at most _CHUNK
-substeps at a time, and a lean Python loop then steps u through each block's
-precomputed values. Memory is O(_CHUNK + nodes), whatever the substep count.
+u' = (u^2 - psi)/h is linear in z = (y, h y'), u = -h y'/y. Each backward step
+is z's fourth-order Magnus step with psi at the two Gauss points (Iserles and
+Norsett 1999), exact for constant psi, applied to u as a Moebius map. numpy
+computes the coefficients of at most _CHUNK steps at a time and a lean Python
+loop applies them, so memory is O(_CHUNK + nodes) whatever the step count.
 """
 
-from itertools import islice
+import math
 
 import numpy as np
 
 from .errors import ConstructionError
 
-# The abscissae and psi values live one block at a time, so memory does not
-# grow with the substep count and this cap bounds time, not memory: 2**22
-# substeps take about 2 s of the loop on a 2-core Xeon.  The finest tested
-# solve takes 23,790.
-MAX_SUBSTEPS = 2**22
+# Steps are built in blocks, so the cap bounds time (2**22: ~2 s on a 2-core Xeon).
+MAX_STEPS = 2**22
+TOL = 1e-12  # local error allowed per step, in units of u
 
-# Substeps per block: a block's arrays and lists peak near 0.6 MB, and its
-# few numpy calls cost little next to 4096 steps of the loop.
-_CHUNK = 4096
+# Steps per block: a block peaks near 0.6 MB, and its numpy calls cost little.
+_CHUNK = 2048
+_SPANS = 1024  # spans per block of the step-count estimate, three steps each
+
+_GAUSS = math.sqrt(3.0) / 6.0  # Gauss points at lo + a (1/2 -+ _GAUSS)
 
 
-def _abscissae(start, dt, m):
-    """Substep ends and midpoints of every span, in integration order.
+def _gauss_points(lo, a):
+    return np.concatenate([lo + (0.5 - _GAUSS) * a, lo + (0.5 + _GAUSS) * a])
 
-    Span j takes m[j] steps of dt[j] from start[j]. Its ends are accumulated
-    one step at a time, as rr = rr + dt in a scalar loop, and its midpoints
-    are rr + 0.5 dt. Spans are batched by the binary order of m, so each
-    batch is one 2D accumulate padded at most 2x.
+
+def _coefficients(a, h, psi12):
+    """(t d, 2 t c, t b, p) of the backward step over spans of width a.
+
+    psi12 holds psi at the lower Gauss points, then at the upper ones. With
+    b = a/h, d = a (psi1 + psi2)/(2h), c = sqrt(3) a^2 (psi1 - psi2)/(12 h^2),
+    mu = hypot(c, sqrt(b d)), t = tanh(mu)/mu and p = 1 - t c (for mu >= 1 and
+    c >= 0 without cancellation, as (b d/(mu + c) + c (1 - tanh mu))/mu), the
+    step maps u to u + (t d + u (2 t c - t b u)) / (p + t b u). Raises
+    ConstructionError unless every coefficient is finite and p > 0.
     """
-    first = np.cumsum(m + 1) - (m + 1)
-    ends = np.empty(m.size + m.sum())
-    order = np.frexp(m)[1]
-    for e in np.unique(order):
-        sel = np.flatnonzero(order == e)
-        cols = np.arange(m[sel].max() + 1)
-        block = np.repeat(dt[sel, None], cols.size, axis=1)
-        block[:, 0] = start[sel]
-        keep = cols <= m[sel, None]
-        ends[(first[sel, None] + cols)[keep]] = np.add.accumulate(block, axis=1)[keep]
-    mids = np.delete(ends, first + m) + np.repeat(0.5 * dt, m)
-    return ends, mids
+    psi1, psi2 = np.split(psi12, 2)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore", under="ignore"):
+        b = a / h
+        d = 0.5 * b * (psi1 + psi2)
+        c = (math.sqrt(3.0) / 12.0) * b * b * (psi1 - psi2)
+        s = np.sqrt(b) * np.sqrt(d)
+        mu = np.hypot(c, s)
+        t = np.where(mu > 0.0, np.tanh(mu) / mu, 1.0)
+        e = np.exp(-2.0 * mu)
+        p = np.where((mu >= 1.0) & (c >= 0.0),
+                     (s * (s / (mu + c)) + c * (2.0 * e / (1.0 + e))) / mu, 1.0 - t * c)
+        coef = (t * d, 2.0 * t * c, t * b, p)
+    if not (np.isfinite(coef).all() and (p > 0.0).all()):
+        raise ConstructionError(f"h = {h:.3g} overflows the Riccati step coefficients")
+    return coef
 
 
-def riccati_backward(r, h, substep, psi):
+def _step(coef, u):
+    td, tc2, tb, p = coef
+    return u + (td + u * (tc2 - tb * u)) / (p + tb * u)
+
+
+def riccati_backward(r, h, *, psi):
     """Integrate u' = (u^2 - psi(r))/h backward from u(r[-1]) = 0.
 
-    r must be strictly increasing; substep bounds the internal RK4 step, so
-    the span r[i-1]..r[i] takes max(1, ceil(span/substep)) equal steps.
-    psi maps a float array of radii to the array of profile values; it is
-    called on the substep ends and on the midpoints of each block of at most
-    _CHUNK substeps, so substep abscissae see exact values, never
-    interpolants.  A span split across blocks resumes from its last
-    accumulated end, so the abscissae do not depend on _CHUNK.
+    r must be strictly increasing. psi maps a float array of radii to the
+    array of profile values. The steps read it at Gauss points inside the
+    spans only, so a kink of psi at a node is never straddled. Each span
+    takes m = max(1, ceil((err/TOL)^(1/5))) equal steps, err being |one step
+    - two half steps| at u = 0 and at u = sqrt(max psi on the nodes), the
+    ends of the interval the backward flow keeps u in.
 
-    Returns u sampled at the nodes of r.  Raises ConstructionError, before
-    allocating, when the substep count is not finite or above MAX_SUBSTEPS.
+    Returns u at the nodes of r. Raises ConstructionError when a coefficient
+    overflows, or, before building them, when steps exceed MAX_STEPS.
     """
     r = np.asarray(r, dtype=float)
-    start = r[:0:-1]  # spans in integration order: r[n-1] down to r[n-2], ...
-    span = start - r[-2::-1]
-    steps = np.maximum(np.ceil(span / substep), 1.0)
+    lo = r[-2::-1]  # spans in integration order: r[n-2]..r[n-1] first
+    a = r[:0:-1] - lo
+    top = math.sqrt(psi(lo).max(initial=0.0))
+    whole, steps = np.empty((4, a.size)), np.empty(a.size)
+    for s in (slice(i, i + _SPANS) for i in range(0, a.size, _SPANS)):
+        half = 0.5 * a[s]
+        widths = np.concatenate([a[s], half, half])  # whole spans, upper halves, lower halves
+        vals = psi(_gauss_points(np.concatenate([lo[s], lo[s] + half, lo[s]]), widths))
+        whole[:, s], upper, lower = np.split(np.array(_coefficients(widths, h, vals)), 3, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = np.fmax(*(np.abs(_step(whole[:, s], u0) - _step(lower, _step(upper, u0)))
+                            for u0 in (0.0, top)))
+            steps[s] = np.maximum(np.ceil((err / TOL) ** 0.2), 1.0)
     total = steps.sum()
-    if not (np.isfinite(total) and total <= MAX_SUBSTEPS):
-        raise ConstructionError(
-            f"Riccati solve needs {total:.3g} RK4 substeps, more than the "
-            f"{MAX_SUBSTEPS} allowed (raise h or lower substep_factor)"
-        )
+    if not (np.isfinite(total) and total <= MAX_STEPS):
+        raise ConstructionError(f"Riccati solve needs {total:.3g} steps, more than the "
+                                f"{MAX_STEPS} allowed (raise h)")
     m = steps.astype(np.intp)
-    dt = -span / m
-    done = np.cumsum(m)  # substeps taken by the end of each span
-    out = []
+    done = np.cumsum(m)  # steps taken by the end of each span
+    out = np.empty(a.size)
     uu = 0.0
-    for lo in range(0, int(m.sum()), _CHUNK):
-        # the block takes substeps lo .. hi-1: spans j0 .. j1-1, the first and
-        # the last of them possibly in part
-        hi = lo + _CHUNK
-        j0 = int(np.searchsorted(done, lo, side="right"))
-        j1 = min(int(np.searchsorted(done, hi)) + 1, m.size)
-        end, db = done[j0:j1], dt[j0:j1]
-        mb = np.minimum(end, hi) - np.maximum(end - m[j0:j1], lo)
-        sb = start[j0:j1].copy()
-        if end[0] - m[j0] < lo:  # resume a span from its last accumulated end
-            sb[0] = rr
-        ends, mids = _abscissae(sb, db, mb)
-        rr = ends[-1]
-        ends_it, mids_it = iter(psi(ends).tolist()), iter(psi(mids).tolist())
-        for mj, d in zip(mb.tolist(), db.tolist()):
-            hd = 0.5 * d
-            pa = next(ends_it)
-            for pm, pe in zip(islice(mids_it, mj), islice(ends_it, mj)):
-                k1 = (uu * uu - pa) / h
-                v2 = uu + hd * k1
-                k2 = (v2 * v2 - pm) / h
-                v3 = uu + hd * k2
-                k3 = (v3 * v3 - pm) / h
-                v4 = uu + d * k3
-                k4 = (v4 * v4 - pe) / h
-                uu = uu + d * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-                pa = pe
-            out.append(uu)
-        if end[-1] > hi:  # the last span goes on in the next block
-            out.pop()
-    u = np.zeros(r.size)
-    u[-2::-1] = out
-    return u
+    for k0 in range(0, int(total), _CHUNK):
+        k = np.arange(k0, min(k0 + _CHUNK, int(total)))
+        j = np.searchsorted(done, k, side="right")  # the span of each step
+        left = done[j] - 1 - k  # steps still to take in span j after this one
+        coef = [c[j] for c in whole]  # a span of one step takes its whole-span step
+        split = m[j] > 1
+        js = j[split]
+        w = a[js] / m[js]
+        refined = _coefficients(w, h, psi(_gauss_points(lo[js] + left[split] * w, w)))
+        for c, cs in zip(coef, refined):
+            c[split] = cs
+        us = []
+        for td, tc2, tb, p in zip(*(c.tolist() for c in coef)):
+            uu = uu + (td + uu * (tc2 - tb * uu)) / (p + tb * uu)
+            us.append(uu)
+        ends = left == 0
+        out[j[ends]] = np.array(us)[ends]
+    return np.append(out[::-1], 0.0)

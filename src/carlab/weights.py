@@ -493,14 +493,13 @@ def solve_phi_riccati(
     spec: PsiSpec,
     h: float,
     grid: RadialGrid,
-    substep_factor: float = 80.0,
     residual_tol: float = 1e-6,
 ):
     """Solve u' = (u^2 - psi)/h backward from u(R1) = 0 on the grid.
 
-    The backward flow contracts onto the branch u ~ sqrt(psi), so explicit
-    RK4 is stable; internal substeps are bounded by h/substep_factor to
-    resolve the h-scale adjustment layer.  u is identically zero on
+    The backward flow contracts onto the branch u ~ sqrt(psi); the kernel's
+    error estimate sets its Magnus steps per span, so the h-scale adjustment
+    layer is resolved with no step setting.  u is identically zero on
     [R1, r_max] (psi vanishes there and the terminal value is zero), which
     also means the support of phi' is [0, R1]: any continuous psi positive
     on (R0, R1) forces u > 0 strictly below R1.
@@ -513,13 +512,12 @@ def solve_phi_riccati(
     if h <= 0.0:
         raise ConstructionError(f"h must be positive, got {h}")
     r = grid.nodes
-    substep = h / substep_factor
     # prepend r = 0 so phi(0) = 0 is exact and u(0) comes from the same flow;
     # integrate only [0, R1] from u(R1) = 0, the tail is exactly zero
     r_ext = np.concatenate([[0.0], r])
     u_ext = np.zeros(r_ext.size)
     u_ext[: grid.i_r1 + 2] = riccati_backward(
-        r_ext[: grid.i_r1 + 2], h, substep, lambda x: eval_psi(spec, x)
+        r_ext[: grid.i_r1 + 2], h, psi=lambda x: eval_psi(spec, x)
     )
     u0 = float(u_ext[0])
     u = u_ext[1:]
@@ -530,10 +528,8 @@ def solve_phi_riccati(
     phi = phi_ext[1:]
     resid = riccati_residual(spec, grid, h, u)
     if not (resid <= residual_tol):
-        raise ConstructionError(
-            f"residual above tolerance: {resid:.3e} > {residual_tol:.1e} "
-            "(refine the grid or lower substep_factor)"
-        )
+        raise ConstructionError(f"residual above tolerance: {resid:.3e} > "
+                                f"{residual_tol:.1e} (refine the grid)")
     return u, phi, u0, resid
 
 
@@ -618,7 +614,6 @@ def build_weight_tables(
     spec: PsiSpec,
     h: float | None = None,
     grid: RadialGrid | None = None,
-    substep_factor: float = 80.0,
     residual_tol: float = 1e-6,
 ) -> WeightTables:
     """Assemble all radial tables for one h; pure and deterministic.
@@ -631,7 +626,7 @@ def build_weight_tables(
     gt = compute_g_and_h1(spec, spec.E, extra_nodes=r)
     if h is None:
         h = gt.h1 / 2.0
-    u, phi, u0, resid = solve_phi_riccati(spec, h, grid, substep_factor, residual_tol)
+    u, phi, u0, resid = solve_phi_riccati(spec, h, grid, residual_tol)
     w, wp, c0 = build_w(spec, r)
     return WeightTables(
         spec=spec,

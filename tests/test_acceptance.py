@@ -126,7 +126,7 @@ def test_criterion_2_riccati_oracle(combo_tables):
     r = np.linspace(0.0, R, 1500)
     worst_tanh = 0.0
     for h in (0.05, 0.1, 0.2):
-        u = riccati_backward(r, h, h / 80.0, lambda x: np.where(x <= R, k, 0.0))
+        u = riccati_backward(r, h, psi=lambda x: np.where(x <= R, k, 0.0))
         exact = np.sqrt(k) * np.tanh(np.sqrt(k) * (R - r) / h)
         worst_tanh = max(worst_tanh, np.abs(u - exact).max() / exact.max())
     worst_resid = max(wt.riccati_resid for wt in combo_tables.values())

@@ -389,12 +389,13 @@ def test_overflowing_default_r1_exits_two(tmp_path, capsys, command):
     assert not out.exists()
 
 
-# settings only the Riccati solve reads: weights exits 2, verify never solves
-RK4_ONLY = {
-    "h-1e-12": {"h": 1e-12},  # once a MemoryError, asking for 1.26 PiB
-    "h-1e-20": {"h": 1e-20},  # once numpy's "array is too big"
-    "substep_factor-1e300": {"substep_factor": 1e300},  # once "negative dimensions"
-    "r1-1e5": {"r1": 1e5},  # 3.76e7 substeps
+# settings only the Riccati solve rejects: weights exits 2, verify never solves
+RICCATI_ONLY = {
+    "h-1e-12": ({"h": 1e-12}, "steps, more than"),  # once a MemoryError, asking for 1.26 PiB
+    "h-1e-20": ({"h": 1e-20}, "steps, more than"),  # once numpy's "array is too big"
+    "h-1e-200": ({"h": 1e-200}, "overflows"),  # once 1.78e202 RK4 substeps
+    "h-5e-324": ({"h": 5e-324}, "overflows"),  # once inf RK4 substeps, with a warning
+    "r1-1e5": ({"r1": 1e5}, "residual above tolerance"),  # once 3.76e7 RK4 substeps
 }
 # settings the grid or the g/h1 scan reject, for both commands
 UNGRIDDABLE = {
@@ -406,23 +407,49 @@ UNGRIDDABLE = {
 
 
 @pytest.mark.parametrize("command, weights, message", [
-    *(pytest.param("weights", w, "RK4 substeps, more than", id=f"{i}-weights")
-      for i, w in RK4_ONLY.items()),
+    *(pytest.param("weights", w, m, id=f"{i}-weights") for i, (w, m) in RICCATI_ONLY.items()),
     *(pytest.param(c, w, m, id=f"{i}-{c}") for i, (w, m) in UNGRIDDABLE.items()
       for c in ("weights", "verify")),
 ])
 def test_unbuildable_weights_exit_two_before_allocating(tmp_path, capsys, monkeypatch,
                                                         command, weights, message):
-    def no_abscissae(*args):
-        raise AssertionError("the Riccati kernel allocated its abscissae")
+    # the step cap and the coefficient check come before any refined step
+    # exists (the residual gate comes after the solve): with the step-count
+    # estimate in one block, the kernel's first coefficient call is its one
+    # trial evaluation
+    monkeypatch.setattr(kernels, "_SPANS", 10**9)
+    calls = []
+    coefficients = kernels._coefficients
 
-    monkeypatch.setattr(kernels, "_abscissae", no_abscissae)
+    def no_refined_steps(*args):
+        calls.append(args)
+        if len(calls) > 1 and "residual" not in message:
+            raise AssertionError("the Riccati kernel built refined steps")
+        return coefficients(*args)
+
+    monkeypatch.setattr(kernels, "_coefficients", no_refined_steps)
     cfg = write_cfg(tmp_path, {"weights": weights})
     out = tmp_path / "out"
-    assert run([command, "--config", cfg, "--out", out]) == 2
+    assert run([command, "--config", cfg, "--out", out]) == 2  # a warning in carlab fails the suite
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert err.startswith("construction error:") and message in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_substep_factor_is_not_read(tmp_path):
+    # the key is still checked (> 0), but the Riccati solve has no step setting
+    cfg = write_cfg(tmp_path, {"weights": {"substep_factor": 1e300}})  # once "negative dimensions"
+    assert run(["weights", "--config", cfg, "--out", tmp_path / "out"]) == 0
+
+
+def test_large_r1_builds_within_the_residual_gate(tmp_path):
+    # one Magnus step per span leaves the residual at 2.3e-6 here, where the
+    # bend of psi past R0 sits in spans 0.25 h wide
+    cfg = write_cfg(tmp_path, {"weights": {"r1": 1e3}})
+    out = tmp_path / "out"
+    assert run(["weights", "--config", cfg, "--out", out]) == 0
+    report = json.loads((out / "weights_report.json").read_text())
+    assert report["residuals"]["riccati"] <= 1e-6
 
 
 def no_riccati_solve(monkeypatch):
@@ -433,8 +460,9 @@ def no_riccati_solve(monkeypatch):
     monkeypatch.setattr(carlab.weights, "riccati_backward", fail)
 
 
-@pytest.mark.parametrize("weights", [*RK4_ONLY.values(), {"h": -1}, {"r1": 1e4}],
-                         ids=[*RK4_ONLY, "h--1", "r1-1e4"])
+@pytest.mark.parametrize("weights", [
+    *(w for w, _ in RICCATI_ONLY.values()), {"substep_factor": 1e300}, {"h": -1}, {"r1": 1e4},
+], ids=[*RICCATI_ONLY, "substep_factor-1e300", "h--1", "r1-1e4"])
 def test_verify_reads_no_table_settings(tmp_path, capsys, monkeypatch, weights):
     # these once exited 2 from the Riccati solve; verify never solves, so it
     # exits by its margins (the baseline's fail) and writes its report

@@ -3,7 +3,7 @@ import pytest
 
 from carlab import ConstructionError, build_weight_tables
 from carlab.kernels import riccati_backward
-from carlab import weights
+from carlab import kernels, weights
 from carlab.weights import eval_psi, radial_grid, solve_phi_riccati
 
 
@@ -12,7 +12,7 @@ def test_constant_profile_matches_tanh(h):
     # separable solution of u' = (u^2 - k)/h with u(R) = 0
     k, R = 2.5, 1.7
     r = np.linspace(0.0, R, 1500)
-    u = riccati_backward(r, h, h / 80.0, lambda x: np.where(x <= R, k, 0.0))
+    u = riccati_backward(r, h, psi=lambda x: np.where(x <= R, k, 0.0))
     exact = np.sqrt(k) * np.tanh(np.sqrt(k) * (R - r) / h)
     rel = np.abs(u - exact).max() / exact.max()
     assert rel <= 1e-8
@@ -20,7 +20,7 @@ def test_constant_profile_matches_tanh(h):
 
 def test_zero_profile_gives_zero():
     r = np.linspace(0.0, 3.0, 500)
-    u = riccati_backward(r, 0.1, 0.01, np.zeros_like)
+    u = riccati_backward(r, 0.1, psi=np.zeros_like)
     assert np.all(u == 0.0)
 
 
@@ -45,9 +45,9 @@ def test_kernel_integrates_only_up_to_r1(baseline_spec, monkeypatch):
     # the kernel starts at u(R1) = 0; [R1, r_max] is filled without it
     grids = []
 
-    def spy(r, *args):
+    def spy(r, h, *, psi):
         grids.append(np.array(r))
-        return riccati_backward(r, *args)
+        return riccati_backward(r, h, psi=psi)
 
     monkeypatch.setattr(weights, "riccati_backward", spy)
     grid = radial_grid(baseline_spec)
@@ -64,9 +64,9 @@ def test_kernel_integrates_the_gated_psi(baseline_spec, monkeypatch):
     # bit for bit, also at the kinks and their one-ulp neighbours
     profiles = []
 
-    def spy(r, h, substep, psi):
+    def spy(r, h, *, psi):
         profiles.append(psi)
-        return riccati_backward(r, h, substep, psi)
+        return riccati_backward(r, h, psi=psi)
 
     monkeypatch.setattr(weights, "riccati_backward", spy)
     s = baseline_spec
@@ -107,10 +107,12 @@ def test_coarse_grid_fails_residual_gate(baseline_spec):
         solve_phi_riccati(baseline_spec, 0.02, grid)
 
 
-def test_substep_refinement_consistent(baseline_spec):
+def test_substep_refinement_consistent(baseline_spec, monkeypatch):
+    # a 100x tighter local error per step takes more steps and moves u little
     grid = radial_grid(baseline_spec, n_inner=200, n_mid=1200, n_outer=200)
-    u_a, *_ = solve_phi_riccati(baseline_spec, 0.08, grid, substep_factor=80.0)
-    u_b, *_ = solve_phi_riccati(baseline_spec, 0.08, grid, substep_factor=160.0)
+    u_a, *_ = solve_phi_riccati(baseline_spec, 0.08, grid)
+    monkeypatch.setattr(kernels, "TOL", kernels.TOL / 100.0)
+    u_b, *_ = solve_phi_riccati(baseline_spec, 0.08, grid)
     assert np.abs(u_a - u_b).max() <= 1e-9
 
 
