@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from carlab import BoxDiscretization, catalog_potential, sweep_h
+from carlab import BoxDiscretization, catalog_potential, reports, sweep_h
 from carlab.cli import main
 from carlab.resolvent import SweepResult, SweepRow
 from carlab.reports import (
@@ -56,6 +57,111 @@ def test_blocked_columnar_matches_one_pass_writer(tmp_path, rows):
     row = "%.17e %.17e %.17e\n"
     expected = "a b c\n" + "".join(row % cells for cells in zip(*(a.tolist() for a in arrays)))
     assert path.read_bytes() == expected.encode()
+
+
+def _percent_table(columns, arrays):
+    """The per-cell oracle: Python's own "%.17e" for every cell."""
+    return (" ".join(columns) + "\n" + "".join(
+        " ".join("%.17e" % v for v in cells) + "\n" for cells in zip(*(a.tolist() for a in arrays))
+    )).encode()
+
+
+def _powers_of_ten_and_neighbours():
+    powers = np.array([float(f"1e{e}") for e in range(-300, 301)])
+    cells = [powers]
+    for toward in (np.inf, 0.0):
+        near = powers
+        for _ in range(5):
+            near = np.nextafter(near, toward)
+            cells.append(near)
+    cells = np.concatenate(cells)
+    return np.concatenate([cells, -cells])
+
+
+def _random_bit_patterns(rng, size):
+    bits = rng.integers(0, 2 ** 64, size=size, dtype=np.uint64).view(np.float64)
+    spread = rng.standard_normal(size) * 10.0 ** rng.integers(-320, 300, size)
+    cells = np.where(rng.random(size) < 0.5, bits, spread)
+    tiny, big = np.finfo(float).tiny, np.finfo(float).max
+    special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.5e-310, tiny, -tiny,
+               big, -big, 1e-280, 1e280, 9.999999999999999e279, 1.0000000000000001e-280, 1e100, 1e-100,
+               9.9999999999999999e99, 1.23e-123, 4.56e256]
+    cells[rng.choice(size, len(special), replace=False)] = special
+    return cells
+
+
+@pytest.mark.parametrize("case", ["powers_of_ten", "ties", "bit_patterns"])
+def test_columnar_matches_percent_format_on_hard_cells(tmp_path, case):
+    # powers of ten with +-1..5-ulp neighbours: the double nearest 1e-278 lies below 10^-278,
+    # so an exponent taken from log10 alone prints 0.99999999999999994e-278 for it
+    if case == "powers_of_ten":
+        cells = _powers_of_ten_and_neighbours()
+    elif case == "ties":  # odd/2^19 in [0.1, 1) scales to an exact half-integer: round half to even
+        cells = np.arange(1, 2 ** 19, 2) / 2 ** 19
+        cells = cells[cells >= 0.1]
+    else:
+        cells = _random_bit_patterns(np.random.default_rng(25), 3 * 4000)
+    arrays = list(cells[: cells.size // 3 * 3].reshape(3, -1))
+    path = tmp_path / "table.txt"
+    write_columnar(path, ("a", "b", "c"), arrays)
+    assert path.read_bytes() == _percent_table(("a", "b", "c"), arrays)
+
+
+@pytest.mark.parametrize("rows", [0, 1, _ROWS - 1, _ROWS, _ROWS + 1])
+def test_columnar_block_edges_match_percent_format(tmp_path, rows):
+    arrays = list(_random_bit_patterns(np.random.default_rng(rows), 4 * max(rows, 6))[: 4 * rows]
+                  .reshape(4, rows))
+    path = tmp_path / "table.txt"
+    write_columnar(path, ("a", "b", "c", "d"), arrays)
+    assert path.read_bytes() == _percent_table(("a", "b", "c", "d"), arrays)
+
+
+class _CountingFormat(str):
+    calls = 0
+
+    def __mod__(self, value):
+        type(self).calls += 1
+        return str.__mod__(self, value)
+
+
+def test_columnar_falls_back_to_percent_format_only_where_needed(tmp_path, monkeypatch):
+    # 0.5 + 2^-19 scales to an exact tie; inf and 1e-300 lie outside the fast range; the rest is fast
+    monkeypatch.setattr(reports, "FLOAT_FMT", _CountingFormat("%.17e"))
+    monkeypatch.setattr(_CountingFormat, "calls", 0)
+    arrays = [np.array([0.5 + 2 ** -19, 0.1, -0.0, 1e-300]), np.array([np.inf, 2.5, 1e280 / 3, -7e-5])]
+    path = tmp_path / "table.txt"
+    write_columnar(path, ("a", "b"), arrays)
+    assert path.read_bytes() == _percent_table(("a", "b"), arrays)
+    assert _CountingFormat.calls == 3
+
+
+@pytest.mark.parametrize("columns, arrays", [
+    (("a", "b"), [np.zeros((2, 3)), np.zeros(6)]),
+    (("a", "b", "c"), [np.zeros(4), np.zeros(4)]),
+    (("a",), [np.zeros(4), np.zeros(4)]),
+    (("a", "b"), [np.zeros(4), np.zeros(5)]),
+    ((), []),
+], ids=["2d-array-of-matching-size", "header-too-long", "header-too-short", "unequal-lengths", "no-columns"])
+def test_columnar_rejects_malformed_tables_before_writing(tmp_path, columns, arrays):
+    path = tmp_path / "table.txt"
+    with pytest.raises(ValueError, match="1-D arrays of one length, one per column"):
+        write_columnar(path, columns, arrays)
+    assert not path.exists()
+
+
+def test_columnar_memory_does_not_grow_with_rows(tmp_path):
+    # one unblocked pass over 100k rows x 7 columns would hold 19.6 MB of cell bytes
+    rng = np.random.default_rng(7)
+    write_columnar(tmp_path / "warm.txt", ("a",), [np.ones(3)])  # first-call tables stay untraced
+    for rows in (10_000, 100_000):
+        arrays = [rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows) for _ in range(7)]
+        tracemalloc.start()
+        try:
+            write_columnar(tmp_path / "table.txt", tuple("abcdefg"), arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2e6  # measured 0.88 MB at 10k rows and 0.76 MB at 100k
 
 
 @pytest.mark.parametrize("rows", [0, 1, 3])
