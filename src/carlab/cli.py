@@ -1,5 +1,8 @@
 """Batch front-end: config parsing, pipeline orchestration, reports, exit codes.
 
+The config, checked against SCHEMA, is the only way to set a run value, and
+a bounded numeric leaf rejects non-finite values.
+
 Exit code contract: 0 success, 1 usage/config, 2 construction,
 3 verification, 4 solver.
 """
@@ -8,6 +11,7 @@ import argparse
 import copy
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -56,9 +60,10 @@ EXIT_SOLVER = 4
 
 # The config, stated once.  A leaf is (default, type, help).  The type is
 # what --help-config prints and _check reads: " | "-separated alternatives,
-# each "int" or "float" with an optional "> x" or ">= x" bound, "auto", null,
-# "str", a bare-name choice, or a check in _NAMED.  The construction code
-# makes its own domain checks (n >= 4, h > 0, the problem parameters).
+# each "int" or "float" with an optional "> x" or ">= x" bound (a bounded
+# value must be finite), "auto", null, a bare-name choice, or a check in
+# _NAMED.  The construction code makes its own domain checks (n >= 4, h > 0,
+# the problem parameters).
 SCHEMA = {
     "seed": (1234, "int >= 0", "rng seed for Lanczos start vectors"),
     "problem": {
@@ -83,10 +88,10 @@ SCHEMA = {
         },
         "substep_factor": (80.0, "float > 0", "checked but not read: the Riccati solve\n"
                            "takes as many steps as its error estimate asks for"),
-        "residual_tol": (1e-6, "float", "Riccati residual gate, read by `weights` only"),
+        "residual_tol": (1e-6, "float > 0", "Riccati residual gate, read by `weights` only"),
     },
     "verify": {
-        "tolerance": (1e-12, "float", "margin acceptance threshold"),
+        "tolerance": (1e-12, "float >= 0", "margin acceptance threshold"),
         "margin_nodes": (10000, "int", "nodes of the profile-inequality scan"),
         "x0": ("auto", '"auto" | [x, y]', "shift; auto = (2^(1/(1+delta0)) - 1, 0)"),
         "box": {
@@ -117,10 +122,9 @@ SCHEMA = {
         "modes": (["interior", "exterior"], "modes", "interior and/or exterior, no repeats"),
         "R": ("auto", '"auto" | float > 0', "exterior cutoff; auto = rho + 3 sigma for the\n"
               "ring potential, 1.0 otherwise"),
-        "tol": (1e-8, "float", "Lanczos eigenpair residual certificate"),
+        "tol": (1e-8, "float > 0", "Lanczos eigenpair residual certificate"),
         "max_iter": (2000, "int", "cap on a row's A*A applications, all sectors"),
     },
-    "output": {"dir": ("out", "str", "artifact directory")},
 }
 _SEARCH_SCHEMA = {f.name: (f.default, f.type.__name__, "") for f in fields(PsiSearch)}
 
@@ -150,10 +154,8 @@ def _check(value, kind: str, path: str):
         elif name in ("int", "float"):  # nan % 1 and inf % 1 are nan, so not whole
             ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
                 and not (name == "int" and value % 1) \
-                and (not bound or (value > float(bound[1]) if bound[0] == ">"
-                                   else value >= float(bound[1])))
-        elif alt == "str":
-            ok = isinstance(value, str)
+                and (not bound or abs(value) < math.inf
+                     and (value > float(bound[1]) if bound[0] == ">" else value >= float(bound[1])))
         else:  # "auto", null or a bare-name choice
             ok = value == (json.loads(alt) if alt in ('"auto"', "null") else alt)
         if ok:
@@ -190,13 +192,14 @@ def _help(schema, indent=""):
 
 DEFAULT_CONFIG = _merge(SCHEMA, {})
 HELP_CONFIG = "\n".join([
-    "Configuration file (JSON). Omitted keys take the defaults; unknown keys, and",
-    "leaves not of their type, exit 1. Every run with the same config and seed",
-    "writes byte-identical artifacts.", "", *_help(SCHEMA), ""])
+    "Configuration file (JSON), the only way to set a run value. Omitted keys take",
+    "the defaults; unknown keys, leaves not of their type and non-finite values of",
+    "bounded leaves exit 1. A config always writes byte-identical artifacts.",
+    "", *_help(SCHEMA), ""])
 
 
-def load_config(path: str | None, overrides=None) -> dict:
-    """The config at path, or the defaults, with top-level overrides, checked once."""
+def load_config(path: str | None) -> dict:
+    """The config at path, or the defaults, checked once."""
     given = {}
     if path is not None:
         try:
@@ -206,8 +209,6 @@ def load_config(path: str | None, overrides=None) -> dict:
             raise ConfigError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if isinstance(given, dict):
-        given = {**given, **(overrides or {})}
     return _merge(SCHEMA, given)
 
 
@@ -255,7 +256,7 @@ def cmd_weights(cfg, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg, out: Path, tolerance: float | None = None) -> int:
+def cmd_verify(cfg, out: Path) -> int:
     p = _params(cfg)
     spec = _spec(cfg, p)
     # the chain reads psi, w, w', m and h1 only: phi and its Riccati solve
@@ -263,7 +264,7 @@ def cmd_verify(cfg, out: Path, tolerance: float | None = None) -> int:
     nodes = _grid(cfg, spec).nodes
     h1 = compute_g_and_h1(spec, spec.E, extra_nodes=nodes).h1
     vcfg = cfg["verify"]
-    tol = float(vcfg["tolerance"]) if tolerance is None else tolerance
+    tol = float(vcfg["tolerance"])
 
     margin_nodes = margin_scan_nodes(spec, int(vcfg["margin_nodes"]))
     # instance margins for the configured catalog potential, radial sampling;
@@ -418,12 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=doc)
         sp.add_argument("--config", type=str, default=None, help="JSON config path")
-        sp.add_argument("--out", type=str, default=None, help="output directory")
-        if name == "verify":
-            sp.add_argument("--tolerance", type=float, default=None,
-                            help="override verification tolerance")
+        sp.add_argument("--out", type=str, default="out", help="artifact directory (default: out)")
         if name == "sweep":
-            sp.add_argument("--seed", type=int, default=None, help="override config seed")
             sp.add_argument("--assert-fits", action="store_true",
                             help="turn fit targets into exit-code checks")
     return ap
@@ -439,13 +436,12 @@ def main(argv=None) -> int:
         ap.print_help()
         return EXIT_CONFIG
     try:
-        seed = getattr(args, "seed", None)
-        cfg = load_config(args.config, {} if seed is None else {"seed": seed})
-        out = Path(args.out) if args.out else Path(cfg["output"]["dir"])
+        cfg = load_config(args.config)
+        out = Path(args.out)
         if args.command == "weights":
             return cmd_weights(cfg, out)
         if args.command == "verify":
-            return cmd_verify(cfg, out, tolerance=args.tolerance)
+            return cmd_verify(cfg, out)
         if args.command == "sweep":
             return cmd_sweep(cfg, out, assert_fits=args.assert_fits)
         return cmd_report(cfg, out)

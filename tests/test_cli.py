@@ -1,3 +1,4 @@
+import argparse
 import functools
 import json
 import os
@@ -280,6 +281,8 @@ def test_non_numeric_leaf_exits_one(tmp_path, capsys, path):
     ("verify", "verify.e4_h_count", -2, "verify.e4_h_count"),
     ("sweep", "resolvent.hs", [0.4, -0.1], "resolvent.hs[1]"),
     ("sweep", "resolvent.hs", [0.0], "resolvent.hs[0]"),
+    ("sweep", "resolvent.hs", [float("inf"), 0.4], "resolvent.hs[0]"),
+    ("sweep", "resolvent.eps.value", float("inf"), "resolvent.eps.value"),
 ])
 def test_out_of_range_leaf_exits_one(tmp_path, capsys, command, path, value, bad):
     # each of these once ended in a traceback, or in a run with nonsense
@@ -290,19 +293,47 @@ def test_out_of_range_leaf_exits_one(tmp_path, capsys, command, path, value, bad
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, extra, message", [
-    (["report"], {"output": {"dir": 5}}, "output.dir must be str"),
-    (["sweep"], {"output": {"dir": 5}}, "output.dir must be str"),
-    (["sweep", "--seed", "-1"], {}, "seed must be int >= 0"),
-])
-def test_output_dir_and_seed_override_are_checked(tmp_path, monkeypatch, capsys,
-                                                  argv, extra, message):
-    # output.dir is only read without --out; --seed passes the config's checks
+@pytest.mark.parametrize("command, extra, message", [
+    ("report", {"output": {"dir": "elsewhere"}}, "unknown config keys: ['output']"),
+    ("sweep", {"output": {"dir": "elsewhere"}}, "unknown config keys: ['output']"),
+    ("sweep", {"seed": -1}, "seed must be int >= 0"),
+], ids=["output-report", "output-sweep", "negative-seed"])
+def test_output_section_and_negative_seed_exit_one(tmp_path, monkeypatch, capsys,
+                                                   command, extra, message):
+    # --out (default "out") is the one spelling of the artifact directory, and
+    # the seed is set in the config only, where SCHEMA checks it
     monkeypatch.chdir(tmp_path)
     cfg = write_cfg(tmp_path, {**BASELINE_SWEEP, **extra})
-    assert run([*argv, "--config", cfg]) == 1
+    assert run([command, "--config", cfg]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+def baseline_with(path, value):
+    baseline = Path(__file__).resolve().parents[1] / "configs" / "baseline.json"
+    return with_leaf(json.loads(baseline.read_text()), path, value)
+
+
+# an infinite tolerance passes every margin check, stops Lanczos at once (a
+# baseline norm of 0.118 where it is 2.815) or lets a Riccati residual of
+# 9.6e-4 through; a NaN one writes NaN into margins_report.json, and a
+# negative one fails every check or every solve
+@pytest.mark.parametrize("argv, payload, bad", [
+    (["verify"], {"verify": {"tolerance": float("inf")}}, "verify.tolerance"),
+    (["verify"], {"verify": {"tolerance": -1.0}}, "verify.tolerance"),
+    (["verify"], {"verify": {"tolerance": float("nan")}}, "verify.tolerance"),
+    (["sweep", "--assert-fits"], baseline_with("resolvent.tol", float("inf")), "resolvent.tol"),
+    (["sweep"], baseline_with("resolvent.tol", -1.0), "resolvent.tol"),
+    (["weights"], {"weights": {"r1": 1e5, "residual_tol": float("inf")}}, "weights.residual_tol"),
+], ids=["verify-inf", "verify-negative", "verify-nan", "resolvent-inf", "resolvent-negative",
+        "residual-inf"])
+def test_tolerance_that_switches_a_certificate_off_exits_one(tmp_path, capsys, argv, payload,
+                                                             bad):
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert run([*argv, "--config", cfg, "--out", out]) == 1
+    assert f"config error: {bad} must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_load_config_returns_fresh_dicts():
@@ -353,12 +384,25 @@ def test_bad_exterior_radius_exits_one(tmp_path, R):
     ["frob"],
     ["weights", "--tolerance", "1"],
     ["verify", "--seed", "1"],
+    ["sweep", "--seed", "1"],
+    ["verify", "--tolerance", "1"],
 ])
 def test_usage_errors_exit_one(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
     assert "usage:" in capsys.readouterr().err
+
+
+def test_flags_name_no_run_value():
+    # every run value is a SCHEMA leaf; a flag beside one would skip its check
+    ap = cli.build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: sorted(s for a in parser._actions for s in a.option_strings)
+               for name, parser in [("", ap), *sub.choices.items()]}
+    plain = ["--config", "--help", "--out", "-h"]
+    assert options == {"": ["--help", "--help-config", "-h"], "weights": plain, "verify": plain,
+                       "sweep": ["--assert-fits", *plain], "report": plain}
 
 
 def test_invalid_params_exit_two_and_leave_nothing(tmp_path):
