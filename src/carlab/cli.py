@@ -123,7 +123,7 @@ SCHEMA = {
         "R": ("auto", '"auto" | float > 0', "exterior cutoff; auto = rho + 3 sigma for the\n"
               "ring potential, 1.0 otherwise"),
         "tol": (1e-8, "float > 0", "Lanczos eigenpair residual certificate"),
-        "max_iter": (2000, "int", "cap on a row's A*A applications, all sectors"),
+        "max_iter": (2000, "int >= 1", "cap on a row's A*A applications, all sectors"),
     },
 }
 _SEARCH_SCHEMA = {f.name: (f.default, f.type.__name__, "") for f in fields(PsiSearch)}

@@ -8,7 +8,9 @@ where hi + lo = 10^(17 - k) to 2^-106. No part overflows or leaves the normal ra
 there (|x| (2^27 + 1) < 1.4e288, hi (2^27 + 1) < 1.4e308), so y is off by at most
 2^-106 y (the pair) + 2^-106 y (|x| lo) + 2^-105 y (adding the product's error) =
 2^-104 y < 6e-14. k steps from floor(log10 |x|) until y is in [10^17, 10^18), tested
-exactly: s - 10^m is exact (Sterbenz) or far above |t|. A cell out of range, not finite,
+exactly: s - 10^m is exact (Sterbenz) or far above |t|. The mantissa is s + floor(t), plus
+one where the fraction t - floor(t) > 1/2; the fraction is exact for t >= 0 and correctly
+rounded below 0, far inside the tie margin. A cell out of range, not finite,
 unsettled after two steps or within 1e-6 of a rounding tie takes Python's "%.17e".
 """
 
@@ -78,9 +80,10 @@ def _spell(block):
         if redo.size:
             k[redo] += step[redo]
             s[redo], t[redo], step[redo] = _scaled(a[redo], k[redo])
-    frac = t % 1
+    whole = np.floor(t)
+    frac = t - whole
     fast = (fast | (x == 0)) & (step == 0) & (np.abs(frac - 0.5) > 1e-6)
-    n = np.where(fast & (x != 0), s, 0).astype(np.int64) + (t // 1).astype(np.int64) + (frac > 0.5)
+    n = np.where(fast & (x != 0), s, 0).astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
     k += n == 10 ** 18
     n[n == 10 ** 18] = 10 ** 17
     lead, rest = np.divmod(n, 10 ** 16)

@@ -4,9 +4,15 @@ Builds the piecewise profile psi, the phase phi solving the Riccati equation
 (phi')^2 - h phi'' = psi backward from phi'(R1) = 0, the barrier w with its
 matching constant c0, the polynomial weight m, and the thresholds h1 and
 C0 = 2 max phi. Everything here is a pure function of its inputs.
+
+The constant search takes its R1 candidates in blocks and the Riccati
+residual gate takes its three smooth pieces in one pass; both give bit for
+bit the numbers of one candidate and one piece at a time, which the tests
+keep as oracles.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -14,6 +20,8 @@ from .errors import CertificationError, ConstructionError, ParameterError
 from .kernels import riccati_backward
 
 CONTINUITY_TOL = 1e-10
+# R1 candidates per margin call of the constant search, after the first
+SEARCH_BLOCK = 64
 
 
 # ----------------------------------------------------------------------------
@@ -101,12 +109,16 @@ class PsiSpec:
         validate_params(p)
         if not (r1 > 0.0):
             raise ConstructionError(f"R1 must be positive, got {r1}")
-        d = p.delta
-        B = (p.E / 4.0) * barrier_outer(d, r1)
-        # R0 solves 1 - (1+R0)^-d = B/(1/delta0 + E/4), in log form
-        R0 = np.expm1(-np.log1p(-B / (1.0 / p.delta0 + p.E / 4.0)) / d)
+        B, R0 = _continuity_constants(p, r1)
         return cls(B=float(B), R0=float(R0), R1=float(r1),
-                   delta=d, delta0=p.delta0, E=p.E)
+                   delta=p.delta, delta0=p.delta0, E=p.E)
+
+
+def _continuity_constants(p: ProblemParams, r1):
+    """B and R0 of `PsiSpec.from_continuity` for a scalar or an array of R1."""
+    B = (p.E / 4.0) * barrier_outer(p.delta, r1)
+    # R0 solves 1 - (1+R0)^-d = B/(1/delta0 + E/4), in log form
+    return B, np.expm1(-np.log1p(-B / (1.0 / p.delta0 + p.E / 4.0)) / p.delta)
 
 
 def default_r1(p: ProblemParams) -> float:
@@ -248,7 +260,19 @@ class PsiSearch:
     min_margin: float = 0.0
 
 
-def _envelope_min(spec: PsiSpec) -> float:
+def _envelope_star(delta: float, delta0: float, E: float) -> tuple[float, float]:
+    """(r*, tail) for `_envelope_min`: r* = rho* - 1, and the tail's infimum
+    from the closed form where r* is beyond the float range, else inf."""
+    q_minus_1 = delta * (1.0 - delta0) / (delta0 - delta)
+    log_q = float(np.log1p(q_minus_1))
+    with np.errstate(over="ignore"):
+        r_star = float(np.expm1(log_q / delta))
+    if np.isfinite(r_star):
+        return r_star, np.inf
+    return r_star, E / 2.0 - np.exp(-delta0 / delta * log_q) * (1.0 + q_minus_1 / delta)
+
+
+def _envelope_min(spec, star=None):
     """Exact minimum of the envelope margin over r in [0, inf).
 
     On each branch the margin is kappa - G(1+r), with kappa = 1/delta0 + E/2
@@ -260,21 +284,25 @@ def _envelope_min(spec: PsiSpec) -> float:
     radii certifies the whole half-line.  Where rho* is beyond the float
     range the tail's infimum E/2 - G(rho*) comes from the closed form
     G(rho*) = q^(-delta0/delta) (1 + (q-1)/delta).
+
+    spec may be a `_spec_block` of k candidates: one margin call on the 8 x k
+    radii then gives the k minima.  star is `_envelope_star`'s pair.
     """
-    d, d0 = spec.delta, spec.delta0
-    q_minus_1 = d * (1.0 - d0) / (d0 - d)
-    log_q = float(np.log1p(q_minus_1))
-    with np.errstate(over="ignore"):
-        r_star = float(np.expm1(log_q / d))
+    r_star, tail = star or _envelope_star(spec.delta, spec.delta0, spec.E)
     lo_mid, hi_mid = np.nextafter(spec.R0, np.inf), np.nextafter(spec.R1, 0.0)
-    r = [0.0, spec.R0, lo_mid, hi_mid, spec.R1,
-         min(r_star, spec.R0), min(max(r_star, lo_mid), hi_mid)]
-    tail = np.inf
+    r = [np.zeros_like(spec.R0), spec.R0, lo_mid, hi_mid, spec.R1,
+         np.minimum(r_star, spec.R0), np.minimum(np.maximum(r_star, lo_mid), hi_mid)]
     if np.isfinite(r_star):
-        r.append(max(r_star, spec.R1))
-    else:
-        tail = spec.E / 2.0 - np.exp(-d0 / d * log_q) * (1.0 + q_minus_1 / d)
-    return min(float(psi_inequality_margin(spec, r).min()), tail)
+        r.append(np.maximum(r_star, spec.R1))
+    m = np.minimum(psi_inequality_margin(spec, np.array(r)).min(axis=0), tail)
+    return float(m) if m.ndim == 0 else m
+
+
+def _spec_block(p: ProblemParams, r1: np.ndarray) -> SimpleNamespace:
+    """PsiSpec's fields for an array of candidate R1, unchecked."""
+    B, R0 = _continuity_constants(p, r1)
+    return SimpleNamespace(B=B, R0=R0, R1=r1, delta=p.delta, delta0=p.delta0, E=p.E,
+                           plateau=1.0 / p.delta0)
 
 
 def find_psi_constants(p: ProblemParams, search: PsiSearch = PsiSearch()) -> PsiSpec:
@@ -283,7 +311,13 @@ def find_psi_constants(p: ProblemParams, search: PsiSearch = PsiSearch()) -> Psi
 
     The inequality is certifiable only when delta is small enough relative
     to (E, delta0); when the scan exhausts the range the failure is reported
-    rather than inferring a smallness threshold.
+    rather than inferring a smallness threshold.  The first candidate is
+    tried alone, so a first-candidate hit costs one candidate's work; the
+    rest go in blocks of SEARCH_BLOCK, each with `PsiSpec.from_continuity`'s
+    arithmetic and checks done for the whole block and one `_envelope_min`
+    call.  The first candidate of a block that fails a check or passes the
+    margin ends the search through `PsiSpec.from_continuity` itself, as one
+    candidate at a time would, so the result and every error are the same.
     """
     validate_params(p)
     if not (0.0 < search.r1_lo < search.r1_hi):
@@ -292,13 +326,27 @@ def find_psi_constants(p: ProblemParams, search: PsiSearch = PsiSearch()) -> Psi
         )
     if search.num_r1 < 0 or not search.span > 0.0:
         raise ConstructionError(f"bad search: num_r1 = {search.num_r1}, span = {search.span}")
+    star = _envelope_star(p.delta, p.delta0, p.E)
     best = -np.inf
-    for r1 in np.geomspace(search.r1_lo, search.r1_hi, search.num_r1):
-        spec = PsiSpec.from_continuity(p, r1)
-        m = _envelope_min(spec)
+    if search.num_r1:  # geomspace's first candidate is r1_lo itself
+        spec = PsiSpec.from_continuity(p, float(search.r1_lo))
+        m = _envelope_min(spec, star)
         if m >= search.min_margin:
             return spec
         best = max(best, m)
+    r1s = np.geomspace(search.r1_lo, search.r1_hi, search.num_r1)
+    for lo in range(1, r1s.size, SEARCH_BLOCK):
+        r1 = r1s[lo:lo + SEARCH_BLOCK]
+        with np.errstate(all="ignore"):  # candidates past the first hit may overflow
+            spec = _spec_block(p, r1)
+            res0, res1 = continuity_residuals(spec)
+            ok = (spec.R1 > spec.R0) & (spec.R0 > 0.0) \
+                & (res0 <= CONTINUITY_TOL) & (res1 <= CONTINUITY_TOL)
+            m = _envelope_min(spec, star)
+        ends = np.flatnonzero(~ok | (m >= search.min_margin))
+        if ends.size:
+            return PsiSpec.from_continuity(p, r1[ends[0]])
+        best = max(best, *m.tolist())  # in candidate order, so nan is skipped as before
     raise ConstructionError(
         "no admissible R1 in range "
         f"[{search.r1_lo:.3g}, {search.r1_hi:.3g}]: best envelope margin {best:.6g} "
@@ -533,30 +581,35 @@ def solve_phi_riccati(
     return u, phi, u0, resid
 
 
-def _lagrange5_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Derivative of the local 5-point Lagrange interpolant at every node.
+def _lagrange5_derivative(x: np.ndarray, y: np.ndarray, pieces) -> np.ndarray:
+    """Derivative of the local 5-point Lagrange interpolant at every node of
+    each piece [lo, hi), the pieces' nodes in order, one after another.
 
-    Windows are clamped at segment ends, so the stencil is one-sided there
-    but never leaves the segment.
+    Windows are clamped at piece ends, so the stencil is one-sided there
+    but never leaves the piece.  At node x_p of its window the full double
+    sum l_a' = sum_b prod_c (x_p - x_c)/(x_a - x_c) / (x_a - x_b) is zero in
+    every term with the factor (x_p - x_p), so only the others are formed,
+    each in the sum's own multiply and add order: for a = p the products
+    are 1 and l_p' = sum_b 1/(x_p - x_b); for a != p only b = p is left.
     """
-    n = x.size
-    j0 = np.clip(np.arange(n) - 2, 0, n - 5)
-    idx = j0[:, None] + np.arange(5)[None, :]
-    xs = x[idx]
-    ys = y[idx]
-    d = np.zeros(n)
-    for a in range(5):
-        la = np.zeros(n)
-        for b in range(5):
-            if b == a:
-                continue
-            prod = np.ones(n)
-            for c in range(5):
-                if c == a or c == b:
-                    continue
-                prod *= (x - xs[:, c]) / (xs[:, a] - xs[:, c])
-            la += prod / (xs[:, a] - xs[:, b])
-        d += ys[:, a] * la
+    i = np.concatenate([np.arange(lo, hi) for lo, hi in pieces])
+    j0 = np.concatenate([np.clip(np.arange(lo, hi) - 2, lo, hi - 5) for lo, hi in pieces])
+    d = np.empty(i.size)
+    for p in range(5):  # the node's position in its window: 2 but near piece ends
+        at = np.flatnonzero(i - j0 == p)
+        win = j0[at]
+        xs = [x[win + c] for c in range(5)]
+        others = [c for c in range(5) if c != p]
+        dx = {c: xs[p] - xs[c] for c in others}
+        acc = 0.0
+        for a in range(5):
+            if a == p:
+                la = sum(1.0 / dx[b] for b in others)
+            else:
+                f = [dx[c] / (xs[a] - xs[c]) for c in others if c != a]
+                la = f[0] * f[1] * f[2] / (xs[a] - xs[p])
+            acc = acc + y[win + a] * la
+        d[at] = acc
     return d
 
 
@@ -568,16 +621,14 @@ def riccati_residual(spec: PsiSpec, grid: RadialGrid, h: float, u: np.ndarray) -
     """
     r = grid.nodes
     pieces = [(0, grid.i_r0 + 1), (grid.i_r0, grid.i_r1 + 1), (grid.i_r1, r.size)]
-    worst = 0.0
-    for lo, hi in pieces:
-        if hi - lo < 5:
-            raise ConstructionError("need at least 5 nodes per grid segment")
-        up = _lagrange5_derivative(r[lo:hi], u[lo:hi])
-        res = np.abs(u[lo:hi] ** 2 - h * up - eval_psi(spec, r[lo:hi]))
-        # segment endpoints coincide with kinks; one-sided stencils there are
-        # still within the smooth piece, so include everything
-        worst = max(worst, float(res.max()))
-    return worst
+    if min(hi - lo for lo, hi in pieces) < 5:
+        raise ConstructionError("need at least 5 nodes per grid segment")
+    i = np.concatenate([np.arange(lo, hi) for lo, hi in pieces])
+    res = np.abs(u[i] ** 2 - h * _lagrange5_derivative(r, u, pieces) - eval_psi(spec, r[i]))
+    # segment endpoints coincide with kinks; one-sided stencils there are
+    # still within the smooth piece, so include everything; a nan anywhere
+    # makes the sup nan, which fails the gate
+    return float(res.max())
 
 
 @dataclass(frozen=True)

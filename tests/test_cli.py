@@ -283,6 +283,8 @@ def test_non_numeric_leaf_exits_one(tmp_path, capsys, path):
     ("sweep", "resolvent.hs", [0.0], "resolvent.hs[0]"),
     ("sweep", "resolvent.hs", [float("inf"), 0.4], "resolvent.hs[0]"),
     ("sweep", "resolvent.eps.value", float("inf"), "resolvent.eps.value"),
+    ("sweep", "resolvent.max_iter", 0, "resolvent.max_iter"),
+    ("sweep", "resolvent.max_iter", -1, "resolvent.max_iter"),
 ])
 def test_out_of_range_leaf_exits_one(tmp_path, capsys, command, path, value, bad):
     # each of these once ended in a traceback, or in a run with nonsense

@@ -269,20 +269,122 @@ def test_false_certificate_is_rejected():
         find_psi_constants(p, search)
 
 
-def test_search_evaluates_one_margin_call_per_candidate(monkeypatch):
+def test_search_margin_calls_do_not_grow_with_candidates(monkeypatch):
+    # the search visits the same 213 candidates as one margin call per
+    # candidate did, in 5 calls of 8 radii per candidate (the first alone,
+    # then blocks of 64), and a first-candidate hit costs one 8-radius call
     calls = []
     margin = carlab.weights.psi_inequality_margin
 
     def counted(spec, r, potential=None):
-        calls.append(np.size(r))
+        calls.append(np.shape(r))
         return margin(spec, r, potential)
 
     monkeypatch.setattr(carlab.weights, "psi_inequality_margin", counted)
     p = validate_params(ProblemParams(E=1.0, delta0=0.4, s=0.505))
     spec = find_psi_constants(p)
     visited = int(np.flatnonzero(np.geomspace(1.0, 1e306, 320) == spec.R1)[0]) + 1
-    assert len(calls) == visited == 213
-    assert max(calls) <= 9
+    assert visited == loop_search(p, PsiSearch(), count=True)[1] == 213
+    block = carlab.weights.SEARCH_BLOCK
+    assert calls == [(8,)] + [(8, block)] * -(-(visited - 1) // block)
+    calls.clear()
+    assert find_psi_constants(*FIRST_CANDIDATE_HIT).R1 == FIRST_CANDIDATE_HIT[1].r1_lo
+    assert calls == [(8,)]
+
+
+def _envelope_min_per_candidate(spec):
+    """`_envelope_min` of one candidate as a scalar computation: the oracle."""
+    d, d0 = spec.delta, spec.delta0
+    q_minus_1 = d * (1.0 - d0) / (d0 - d)
+    log_q = float(np.log1p(q_minus_1))
+    with np.errstate(over="ignore"):
+        r_star = float(np.expm1(log_q / d))
+    lo_mid, hi_mid = np.nextafter(spec.R0, np.inf), np.nextafter(spec.R1, 0.0)
+    r = [0.0, spec.R0, lo_mid, hi_mid, spec.R1,
+         min(r_star, spec.R0), min(max(r_star, lo_mid), hi_mid)]
+    tail = np.inf
+    if np.isfinite(r_star):
+        r.append(max(r_star, spec.R1))
+    else:
+        tail = spec.E / 2.0 - np.exp(-d0 / d * log_q) * (1.0 + q_minus_1 / d)
+    return min(float(psi_inequality_margin(spec, r).min()), tail)
+
+
+def loop_search(p, search, count=False):
+    """The constant search one candidate and one margin call at a time: the
+    oracle for the blocked search.  count=True also returns the candidates visited."""
+    best = -np.inf
+    for i, r1 in enumerate(np.geomspace(search.r1_lo, search.r1_hi, search.num_r1)):
+        spec = PsiSpec.from_continuity(p, r1)
+        m = _envelope_min_per_candidate(spec)
+        if m >= search.min_margin:
+            return (spec, i + 1) if count else spec
+        best = max(best, m)
+    raise ConstructionError(
+        "no admissible R1 in range "
+        f"[{search.r1_lo:.3g}, {search.r1_hi:.3g}]: best envelope margin {best:.6g} "
+        f"(delta = {p.delta} is not small enough for E = {p.E}, delta0 = {p.delta0})"
+    )
+
+
+def outcome(search_fn, p, search):
+    try:
+        return search_fn(p, search)
+    except ConstructionError as exc:
+        return f"ConstructionError: {exc}"
+
+
+FIRST_CANDIDATE_HIT = (ProblemParams(E=8.0, delta0=0.45, s=0.55),
+                       PsiSearch(r1_lo=1.0, r1_hi=1e6, num_r1=64))
+SEARCH_ERROR_CASES = {
+    # no admissible candidate: the "best envelope margin" message
+    "baseline-no-certificate": (ProblemParams(E=1.0, delta0=0.4, s=0.6), PsiSearch(num_r1=64)),
+    "false-certificate": FALSE_CERTIFICATE,
+    "below-R0": (ProblemParams(E=1.0, delta0=0.4, s=0.6),
+                 PsiSearch(r1_lo=0.05, r1_hi=0.1, num_r1=16)),
+    "small-delta-short-range": (ProblemParams(E=1.0, delta0=0.4, s=0.505),
+                                PsiSearch(r1_hi=1e200, num_r1=300)),
+    # the first candidate rounds R0 to 0: "need R1 > R0 > 0"
+    "R0-underflows": (FIRST_CANDIDATE_HIT[0], PsiSearch(r1_lo=5e-324, r1_hi=1e6, num_r1=64)),
+    # the second candidate, in the second block, fails the continuity gate
+    "continuity-gate": (ProblemParams(E=1.0, delta0=0.4, s=0.505),
+                        PsiSearch(r1_lo=5.6234132e-316, r1_hi=1e6, num_r1=320)),
+}
+
+
+@pytest.mark.parametrize("point", searched_points() + [FIRST_CANDIDATE_HIT],
+                         ids=lambda pt: f"E{pt[0].E}-d0{pt[0].delta0}-s{pt[0].s}-n{pt[1].num_r1}")
+def test_blocked_search_equals_the_per_candidate_loop(point):
+    assert outcome(find_psi_constants, *point) == outcome(loop_search, *point)
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_ERROR_CASES))
+def test_blocked_search_raises_the_per_candidate_loop_error(case):
+    p, search = SEARCH_ERROR_CASES[case]
+    expected = outcome(loop_search, p, search)
+    assert expected.startswith("ConstructionError: ")
+    if case == "continuity-gate":
+        first, second = np.geomspace(search.r1_lo, search.r1_hi, search.num_r1)[:2]
+        assert _envelope_min(PsiSpec.from_continuity(p, first)) < 0.0
+        with pytest.raises(ConstructionError, match="continuity residuals") as exc:
+            PsiSpec.from_continuity(p, second)
+        assert expected == f"ConstructionError: {exc.value}"
+    if case == "R0-underflows":
+        assert "need R1 > R0 > 0" in expected
+    assert outcome(find_psi_constants, p, search) == expected
+
+
+def test_blocked_envelope_min_equals_the_per_candidate_oracle():
+    # one margin call over k rows of radii gives each row's scalar minimum bit for bit
+    rng = np.random.default_rng(27)
+    for _ in range(24):
+        d0 = rng.uniform(0.01, 0.49)
+        p = validate_params(ProblemParams(E=float(np.exp(rng.uniform(np.log(0.1), np.log(16.0)))),
+                                          delta0=d0, s=(1.0 + rng.uniform(0.02, 0.98) * d0) / 2.0))
+        r1 = np.geomspace(1e-3, 1e306, 64)
+        block = carlab.weights._spec_block(p, r1)
+        oracle = [_envelope_min_per_candidate(PsiSpec.from_continuity(p, x)) for x in r1]
+        assert np.array_equal(_envelope_min(block), oracle)
 
 
 def test_closed_form_tail_beyond_float_range():

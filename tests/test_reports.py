@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -90,7 +91,24 @@ def _random_bit_patterns(rng, size):
     return cells
 
 
-@pytest.mark.parametrize("case", ["powers_of_ten", "ties", "bit_patterns"])
+def _low_parts_on_the_floor_edges(rng):
+    """Cells whose scaled low part t (|x| 10^(17 - k) = s + t) is an integer, zero or
+    negative, or one ulp below an integer, where the whole part is floor(t) - 1.
+
+    x = M 2^-70 with M 5^23 = Y 2^47 - 1 scales to Y - 2^-47 exactly (10^23 is hi + 2^23,
+    both exact); where Y is 33..63 above a multiple of 128 the pair is
+    s = Y - N, t = N - 2^-47, one ulp below N.  An integer x in [1e16, 1e17) scales to
+    10 x, an integer, so its t is an integer too."""
+    five = 5 ** 23
+    first = pow(2 ** 47, -1, five)
+    below = [math.ldexp((y * 2 ** 47 - 1) // five, -70)
+             for y in range(first, 2 ** 53 * five // 2 ** 47, five) if 33 <= y % 128 <= 63]
+    whole = rng.integers(10 ** 16, 10 ** 17, 4000).astype(float)
+    cells = np.concatenate([below, whole])
+    return np.concatenate([cells, -cells])
+
+
+@pytest.mark.parametrize("case", ["powers_of_ten", "ties", "bit_patterns", "floor_edges"])
 def test_columnar_matches_percent_format_on_hard_cells(tmp_path, case):
     # powers of ten with +-1..5-ulp neighbours: the double nearest 1e-278 lies below 10^-278,
     # so an exponent taken from log10 alone prints 0.99999999999999994e-278 for it
@@ -99,6 +117,14 @@ def test_columnar_matches_percent_format_on_hard_cells(tmp_path, case):
     elif case == "ties":  # odd/2^19 in [0.1, 1) scales to an exact half-integer: round half to even
         cells = np.arange(1, 2 ** 19, 2) / 2 ** 19
         cells = cells[cells >= 0.1]
+    elif case == "floor_edges":
+        cells = _low_parts_on_the_floor_edges(np.random.default_rng(27))
+        a = np.abs(cells)
+        k = np.floor(np.log10(a)).astype(np.int64)
+        _, t, step = reports._scaled(a, k)
+        assert not step.any()
+        assert (t == 0).any() and (t < 0).any() and (t == np.floor(t)).sum() > cells.size // 2
+        assert (t == np.nextafter(np.ceil(t), -np.inf)).sum() >= 8
     else:
         cells = _random_bit_patterns(np.random.default_rng(25), 3 * 4000)
     arrays = list(cells[: cells.size // 3 * 3].reshape(3, -1))

@@ -1,7 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from carlab import ConstructionError, build_weight_tables
+from carlab import ConstructionError, build_weight_tables, cli
 from carlab.kernels import riccati_backward
 from carlab import kernels, weights
 from carlab.weights import eval_psi, radial_grid, solve_phi_riccati
@@ -120,3 +123,108 @@ def test_tables_rebuildable_at_smaller_h(baseline_spec):
     wt = build_weight_tables(baseline_spec, h=0.02)
     assert wt.riccati_resid <= 1e-6
     assert wt.u.max() <= np.sqrt(wt.psi.max()) + 1e-9
+
+
+# ----------------------------------------------------------------------------
+# the one-pass residual gate against the per-piece stencils it replaced
+# ----------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def lagrange5_derivative_per_piece(x, y):
+    """The full 5-point double sum over one piece: the oracle."""
+    n = x.size
+    j0 = np.clip(np.arange(n) - 2, 0, n - 5)
+    idx = j0[:, None] + np.arange(5)[None, :]
+    xs = x[idx]
+    ys = y[idx]
+    d = np.zeros(n)
+    for a in range(5):
+        la = np.zeros(n)
+        for b in range(5):
+            if b == a:
+                continue
+            prod = np.ones(n)
+            for c in range(5):
+                if c == a or c == b:
+                    continue
+                prod *= (x - xs[:, c]) / (xs[:, a] - xs[:, c])
+            la += prod / (xs[:, a] - xs[:, b])
+        d += ys[:, a] * la
+    return d
+
+
+def riccati_residual_per_piece(spec, grid, h, u):
+    """The gate piece by piece with the oracle stencils (finite u only: the
+    running max() here drops a piece whose max is nan)."""
+    r = grid.nodes
+    worst = 0.0
+    for lo, hi in [(0, grid.i_r0 + 1), (grid.i_r0, grid.i_r1 + 1), (grid.i_r1, r.size)]:
+        up = lagrange5_derivative_per_piece(r[lo:hi], u[lo:hi])
+        res = np.abs(u[lo:hi] ** 2 - h * up - eval_psi(spec, r[lo:hi]))
+        worst = max(worst, float(res.max()))
+    return worst
+
+
+def gate_pieces(grid):
+    return [(0, grid.i_r0 + 1), (grid.i_r0, grid.i_r1 + 1), (grid.i_r1, grid.nodes.size)]
+
+
+def built_configs():
+    """Both shipped configs and every benchmarked construct-verify point that builds."""
+    configs = {path.stem: json.loads(path.read_text()) for path in sorted((ROOT / "configs").glob("*.json"))}
+    reference = json.loads((ROOT / "perfbench" / "reference" / "construct-verify.json").read_text())
+    configs.update({item["name"]: item["config"] for item in reference["inputs"]
+                    if "known_defect" not in item})
+    return configs
+
+
+def assert_gate_matches_oracle(spec, grid, h, u):
+    r = grid.nodes
+    expected = np.concatenate([lagrange5_derivative_per_piece(r[lo:hi], u[lo:hi])
+                               for lo, hi in gate_pieces(grid)])
+    assert np.array_equal(weights._lagrange5_derivative(r, u, gate_pieces(grid)), expected)
+    assert weights.riccati_residual(spec, grid, h, u) == riccati_residual_per_piece(spec, grid, h, u)
+
+
+@pytest.mark.parametrize("name", sorted(built_configs()))
+def test_residual_gate_equals_per_piece_oracle_on_built_configs(name):
+    cfg = cli._merge(cli.SCHEMA, built_configs()[name])
+    spec = cli._spec(cfg, cli._params(cfg))
+    wt = build_weight_tables(spec, None if cfg["weights"]["h"] == "auto" else float(cfg["weights"]["h"]),
+                             cli._grid(cfg, spec))
+    assert_gate_matches_oracle(spec, wt.grid, wt.h, wt.u)
+
+
+@pytest.mark.parametrize("nodes", [5, 6])
+def test_residual_gate_equals_per_piece_oracle_on_smallest_pieces(baseline_spec, rng, nodes):
+    grid = radial_grid(baseline_spec, n_inner=nodes, n_mid=nodes, n_outer=nodes)
+    assert [hi - lo for lo, hi in gate_pieces(grid)] == [nodes] * 3
+    u = np.sqrt(eval_psi(baseline_spec, grid.nodes)) * (1.0 + 0.01 * rng.standard_normal(grid.nodes.size))
+    assert_gate_matches_oracle(baseline_spec, grid, 0.05, u)
+
+
+def test_residual_gate_equals_per_piece_oracle_on_random_graded_grids(baseline_spec, rng):
+    for _ in range(40):
+        sizes = rng.integers(5, 60, 3)
+        x = np.cumsum(np.exp(rng.uniform(-8.0, 4.0, sizes.sum() - 2)))
+        pieces = [(0, sizes[0]), (sizes[0] - 1, sizes[:2].sum() - 1), (sizes[:2].sum() - 2, x.size)]
+        y = rng.standard_normal(x.size) * 10.0 ** rng.uniform(-3, 3)
+        expected = np.concatenate([lagrange5_derivative_per_piece(x[lo:hi], y[lo:hi]) for lo, hi in pieces])
+        assert np.array_equal(weights._lagrange5_derivative(x, y, pieces), expected)
+    spec = baseline_spec
+    for n_inner, n_mid, n_outer in rng.integers(5, 400, (6, 3)):
+        grid = radial_grid(spec, n_inner=n_inner, n_mid=n_mid, n_outer=n_outer)
+        u = np.sqrt(eval_psi(spec, grid.nodes)) + 1e-3 * rng.standard_normal(grid.nodes.size)
+        assert_gate_matches_oracle(spec, grid, float(rng.uniform(0.01, 0.5)), u)
+
+
+@pytest.mark.parametrize("node", ["r_min", "R0", "mid", "R1", "r_max"])
+def test_residual_gate_is_nan_where_u_is_nan(baseline_spec, node):
+    # a nan in any piece, kink nodes included, fails the gate instead of
+    # hiding behind the other pieces' maxima
+    grid = radial_grid(baseline_spec)
+    u = np.sqrt(eval_psi(baseline_spec, grid.nodes))
+    u[{"r_min": 0, "R0": grid.i_r0, "mid": grid.i_r0 + 7, "R1": grid.i_r1, "r_max": -1}[node]] = np.nan
+    assert np.isnan(weights.riccati_residual(baseline_spec, grid, 0.05, u))
