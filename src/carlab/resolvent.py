@@ -342,7 +342,8 @@ def sweep_h(
     hs,
     eps_rule=1e-6,
     modes=("interior",),
-    disc: BoxDiscretization | None = None,
+    *,
+    disc: BoxDiscretization,
     R: float | None = None,
     tol: float = 1e-8,
     max_iter: int = 2000,
@@ -384,8 +385,6 @@ def sweep_h(
         raise ValueError(f"modes must be nonempty, distinct, interior or exterior; got {modes}")
     if "exterior" in modes and R is None:
         raise ValueError("exterior mode needs a cutoff radius R")
-    if disc is None:
-        raise ValueError("disc is required")
     if disc.a > max(hs) / 4.0:
         raise ConstructionError(
             f"resolution too coarse: spacing a = {disc.a:.4g} exceeds "

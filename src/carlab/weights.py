@@ -20,7 +20,7 @@ from .errors import CertificationError, ConstructionError, ParameterError
 from .kernels import riccati_backward
 
 CONTINUITY_TOL = 1e-10
-# R1 candidates per margin call of the constant search, after the first
+# R1 candidates per margin call of the constant search
 SEARCH_BLOCK = 64
 
 
@@ -260,19 +260,7 @@ class PsiSearch:
     min_margin: float = 0.0
 
 
-def _envelope_star(delta: float, delta0: float, E: float) -> tuple[float, float]:
-    """(r*, tail) for `_envelope_min`: r* = rho* - 1, and the tail's infimum
-    from the closed form where r* is beyond the float range, else inf."""
-    q_minus_1 = delta * (1.0 - delta0) / (delta0 - delta)
-    log_q = float(np.log1p(q_minus_1))
-    with np.errstate(over="ignore"):
-        r_star = float(np.expm1(log_q / delta))
-    if np.isfinite(r_star):
-        return r_star, np.inf
-    return r_star, E / 2.0 - np.exp(-delta0 / delta * log_q) * (1.0 + q_minus_1 / delta)
-
-
-def _envelope_min(spec, star=None):
+def _envelope_min(spec):
     """Exact minimum of the envelope margin over r in [0, inf).
 
     On each branch the margin is kappa - G(1+r), with kappa = 1/delta0 + E/2
@@ -286,14 +274,21 @@ def _envelope_min(spec, star=None):
     G(rho*) = q^(-delta0/delta) (1 + (q-1)/delta).
 
     spec may be a `_spec_block` of k candidates: one margin call on the 8 x k
-    radii then gives the k minima.  star is `_envelope_star`'s pair.
+    radii then gives the k minima.
     """
-    r_star, tail = star or _envelope_star(spec.delta, spec.delta0, spec.E)
+    d, d0 = spec.delta, spec.delta0
+    q_minus_1 = d * (1.0 - d0) / (d0 - d)
+    log_q = float(np.log1p(q_minus_1))
+    with np.errstate(over="ignore"):
+        r_star = float(np.expm1(log_q / d))
     lo_mid, hi_mid = np.nextafter(spec.R0, np.inf), np.nextafter(spec.R1, 0.0)
     r = [np.zeros_like(spec.R0), spec.R0, lo_mid, hi_mid, spec.R1,
          np.minimum(r_star, spec.R0), np.minimum(np.maximum(r_star, lo_mid), hi_mid)]
+    tail = np.inf
     if np.isfinite(r_star):
         r.append(np.maximum(r_star, spec.R1))
+    else:
+        tail = spec.E / 2.0 - np.exp(-d0 / d * log_q) * (1.0 + q_minus_1 / d)
     m = np.minimum(psi_inequality_margin(spec, np.array(r)).min(axis=0), tail)
     return float(m) if m.ndim == 0 else m
 
@@ -311,9 +306,8 @@ def find_psi_constants(p: ProblemParams, search: PsiSearch = PsiSearch()) -> Psi
 
     The inequality is certifiable only when delta is small enough relative
     to (E, delta0); when the scan exhausts the range the failure is reported
-    rather than inferring a smallness threshold.  The first candidate is
-    tried alone, so a first-candidate hit costs one candidate's work; the
-    rest go in blocks of SEARCH_BLOCK, each with `PsiSpec.from_continuity`'s
+    rather than inferring a smallness threshold.  The candidates go in
+    blocks of SEARCH_BLOCK, each with `PsiSpec.from_continuity`'s
     arithmetic and checks done for the whole block and one `_envelope_min`
     call.  The first candidate of a block that fails a check or passes the
     margin ends the search through `PsiSpec.from_continuity` itself, as one
@@ -326,23 +320,16 @@ def find_psi_constants(p: ProblemParams, search: PsiSearch = PsiSearch()) -> Psi
         )
     if search.num_r1 < 0 or not search.span > 0.0:
         raise ConstructionError(f"bad search: num_r1 = {search.num_r1}, span = {search.span}")
-    star = _envelope_star(p.delta, p.delta0, p.E)
     best = -np.inf
-    if search.num_r1:  # geomspace's first candidate is r1_lo itself
-        spec = PsiSpec.from_continuity(p, float(search.r1_lo))
-        m = _envelope_min(spec, star)
-        if m >= search.min_margin:
-            return spec
-        best = max(best, m)
     r1s = np.geomspace(search.r1_lo, search.r1_hi, search.num_r1)
-    for lo in range(1, r1s.size, SEARCH_BLOCK):
+    for lo in range(0, r1s.size, SEARCH_BLOCK):
         r1 = r1s[lo:lo + SEARCH_BLOCK]
         with np.errstate(all="ignore"):  # candidates past the first hit may overflow
             spec = _spec_block(p, r1)
             res0, res1 = continuity_residuals(spec)
             ok = (spec.R1 > spec.R0) & (spec.R0 > 0.0) \
                 & (res0 <= CONTINUITY_TOL) & (res1 <= CONTINUITY_TOL)
-            m = _envelope_min(spec, star)
+            m = _envelope_min(spec)
         ends = np.flatnonzero(~ok | (m >= search.min_margin))
         if ends.size:
             return PsiSpec.from_continuity(p, r1[ends[0]])
@@ -372,10 +359,6 @@ class RadialGrid:
             raise ConstructionError("grid nodes must be strictly increasing")
         if self.nodes[0] <= 0.0:
             raise ConstructionError("grid must start at r_min > 0")
-
-    @property
-    def r_max(self) -> float:
-        return float(self.nodes[-1])
 
 
 def _cheb_cluster(a: float, b: float, n: int) -> np.ndarray:
@@ -494,11 +477,8 @@ def g_tail_bound(spec: PsiSpec, r: float) -> float:
 
 @dataclass(frozen=True)
 class GTable:
-    r: np.ndarray
-    g: np.ndarray
     g_sup: float
     h1: float
-    tail_bound: float
 
 
 def compute_g_and_h1(
@@ -523,14 +503,13 @@ def compute_g_and_h1(
         extra = extra[(extra >= spec.R0) & (extra <= r_max)]
         r = np.unique(np.concatenate([r, extra]))
     tail = g_tail_bound(spec, r_max)  # raises before eval_g can divide by r^2 = 0
-    g = eval_g(spec, r)
-    g_sup = float(np.abs(g).max())
+    g_sup = float(np.abs(eval_g(spec, r)).max())
     if tail > g_sup:
         raise CertificationError(
             f"tail bound {tail:.3e} exceeds grid max {g_sup:.3e} (extend r_max)"
         )
     h1 = float(np.sqrt(E / (4.0 * g_sup)))
-    return GTable(r=r, g=g, g_sup=g_sup, h1=h1, tail_bound=tail)
+    return GTable(g_sup=g_sup, h1=h1)
 
 
 # ----------------------------------------------------------------------------

@@ -46,7 +46,11 @@ def write_cfg(tmp_path, payload, name="cfg.json"):
 
 
 def run(args):
-    return main([str(a) for a in args])
+    # any warning fails the test, numpy's own included: the pyproject filter
+    # sees only the warnings attributed to carlab's modules
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main([str(a) for a in args])
 
 
 def with_leaf(payload, path, value):
@@ -285,6 +289,20 @@ def test_non_numeric_leaf_exits_one(tmp_path, capsys, path):
     ("sweep", "resolvent.eps.value", float("inf"), "resolvent.eps.value"),
     ("sweep", "resolvent.max_iter", 0, "resolvent.max_iter"),
     ("sweep", "resolvent.max_iter", -1, "resolvent.max_iter"),
+    ("verify", "verify.x0", [float("nan"), 0.0], "verify.x0[0]"),
+    ("verify", "verify.x0", [float("inf"), 0.0], "verify.x0[0]"),
+    ("verify", "verify.box.half_width", float("inf"), "verify.box.half_width"),
+    ("sweep", "resolvent.s", float("nan"), "resolvent.s"),
+    ("weights", "weights.h", float("inf"), "weights.h"),
+    ("weights", "weights.r1", float("inf"), "weights.r1"),
+    ("weights", "weights.grid.r_max", float("inf"), "weights.grid.r_max"),
+    ("weights", "weights.search", {"r1_hi": float("inf")}, "weights.search.r1_hi"),
+    ("weights", "problem.E", float("inf"), "problem.E"),
+    pytest.param("weights", "problem.E", 10**400, "problem.E",
+                 id="weights-problem.E-int-1e400-problem.E"),
+    ("verify", "resolvent.potential.rho", float("inf"), "resolvent.potential.rho"),
+    ("sweep", "resolvent.potential", {"id": "radial_decay", "c": 10**400},
+     "resolvent.potential.c"),
 ])
 def test_out_of_range_leaf_exits_one(tmp_path, capsys, command, path, value, bad):
     # each of these once ended in a traceback, or in a run with nonsense

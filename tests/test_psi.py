@@ -271,8 +271,8 @@ def test_false_certificate_is_rejected():
 
 def test_search_margin_calls_do_not_grow_with_candidates(monkeypatch):
     # the search visits the same 213 candidates as one margin call per
-    # candidate did, in 5 calls of 8 radii per candidate (the first alone,
-    # then blocks of 64), and a first-candidate hit costs one 8-radius call
+    # candidate did, in 4 calls of 8 radii per candidate of a block of 64,
+    # and a first-candidate hit costs the first block's one call
     calls = []
     margin = carlab.weights.psi_inequality_margin
 
@@ -285,11 +285,10 @@ def test_search_margin_calls_do_not_grow_with_candidates(monkeypatch):
     spec = find_psi_constants(p)
     visited = int(np.flatnonzero(np.geomspace(1.0, 1e306, 320) == spec.R1)[0]) + 1
     assert visited == loop_search(p, PsiSearch(), count=True)[1] == 213
-    block = carlab.weights.SEARCH_BLOCK
-    assert calls == [(8,)] + [(8, block)] * -(-(visited - 1) // block)
+    assert calls == [(8, 64)] * 4
     calls.clear()
     assert find_psi_constants(*FIRST_CANDIDATE_HIT).R1 == FIRST_CANDIDATE_HIT[1].r1_lo
-    assert calls == [(8,)]
+    assert calls == [(8, 64)]
 
 
 def _envelope_min_per_candidate(spec):
