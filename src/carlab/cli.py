@@ -308,6 +308,10 @@ def cmd_verify(cfg, out: Path) -> int:
 
 
 def _check_fit_target(pot_id, mode, result):
+    # a line fits one or two rows exactly (R2 = 1), so they certify no shape
+    rows, needed = len(result.rows), 2 if mode == "exterior" else 3
+    if rows < needed:
+        return False, f"the {mode} target needs >= {needed} rows, got {rows}"
     if mode == "exterior":
         hn = result.hs() * result.norms()
         ratio = float(hn.max() / hn.min())

@@ -4,7 +4,8 @@ P = -h^2 Lap + V - E on a truncated box with homogeneous Dirichlet walls,
 5-point stencil; the box and its weight live in box.py, which needs numpy
 only, and this is the one module that loads scipy.  The -i*eps shift is
 applied at factorization time by factor_shifted, and one LU of P - i*eps
-serves every right-hand side.
+serves every right-hand side.  Every shifted matrix is written into a fixed
+CSC pattern by _Pattern.shifted and factored by _factor, the one splu call.
 The weighted norm takes any LU: sweeps factor one matrix per sector of the
 square's symmetries (an eighth of the box for radial inputs) and hand that
 LU to every mode and, as its trans="H" solve, to the Lanczos norm's adjoint.
@@ -38,8 +39,15 @@ from .potentials import PotentialSample
 # Symmetric minimum degree suits the 5-point grid.  Pivoting only below 1%
 # of a column keeps that structure where P is indefinite: at E = 8, h = 0.12,
 # n = 64 full partial pivoting swaps rows and leaves 4.4M LU nonzeros, not 127k.
+# relax=1 and panel_size=1 turn off SuperLU's relaxed supernodes and 10-column
+# panels, which only pad the stored factors of these 2D sector matrices and
+# slow their factorization; L.nnz + U.nnz stay the same.  The 25 sector LUs of
+# one sweep (min of 4 runs, 2-core Xeon) took 17.7 instead of 24.4 ms on the
+# n = 64 ring, and 38 instead of 52, 82 instead of 173 and 427 instead of
+# 582 ms on free boxes with n = 96, 128 and 256.
 PERMC_SPEC = "MMD_AT_PLUS_A"
-LU_OPTIONS = dict(permc_spec=PERMC_SPEC, diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+LU_OPTIONS = dict(permc_spec=PERMC_SPEC, diag_pivot_thresh=0.01, relax=1, panel_size=1,
+                  options={"SymmetricMode": True})
 _STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))  # for _top_ritz_pair
 # A sweep whose largest sector has fewer unknowns runs its tasks on the
 # calling thread.  Such tasks spend most of their time in Python under the
@@ -60,27 +68,63 @@ class DiscreteOperator:
     disc: BoxDiscretization
 
     def shifted(self, eps: float) -> sp.csc_matrix:
-        return _shifted(self.matrix, eps)
+        pattern, data = _Pattern.of(self.matrix)
+        return pattern.shifted(data, eps)
 
     def apply_shifted(self, eps: float, v: np.ndarray) -> np.ndarray:
         """(P - i*eps) v without factorization."""
         return self.matrix @ v - 1j * eps * v
 
 
-def _shifted(matrix, eps: float) -> sp.csc_matrix:
-    """Complex CSC copy of matrix - i*eps, shifted in place on its diagonal:
-    the same sums as matrix - i*eps*I without sparse arithmetic."""
-    mat = sp.csc_matrix(matrix, dtype=complex, copy=True)
-    mat.setdiag(mat.diagonal() - 1j * eps)
-    return mat
+@dataclass(frozen=True)
+class _Pattern:
+    """A square CSC structure in canonical order that stores every diagonal
+    entry; diag holds the data positions of the diagonal."""
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    diag: np.ndarray
+
+    @classmethod
+    def of(cls, matrix) -> tuple:
+        """(pattern, real data) of a square sparse matrix; a diagonal entry
+        the matrix does not store is stored as 0."""
+        mat = sp.csc_matrix(matrix, dtype=float, copy=True)
+        mat.sum_duplicates()
+        n, diag = mat.shape[0], _diagonal(mat.indices, mat.indptr)
+        if diag.size < n:
+            missing, coo = np.setdiff1d(np.arange(n), mat.indices[diag]), mat.tocoo()
+            mat = sp.csc_matrix((np.r_[coo.data, np.zeros(missing.size)],
+                                 (np.r_[coo.row, missing], np.r_[coo.col, missing])), shape=(n, n))
+            diag = _diagonal(mat.indices, mat.indptr)
+        return cls(mat.indices, mat.indptr, diag), mat.data
+
+    def shifted(self, data: np.ndarray, eps: float) -> sp.csc_matrix:
+        """Complex CSC of data - i*eps on the diagonal, on this structure: the
+        same sums as matrix - i*eps*I without sparse arithmetic."""
+        shifted = data.astype(complex)
+        shifted[self.diag] -= 1j * eps
+        n = len(self.indptr) - 1
+        return sp.csc_matrix((shifted, self.indices, self.indptr), shape=(n, n))
+
+
+def _diagonal(indices, indptr) -> np.ndarray:
+    """Data positions of the stored diagonal entries of a canonical CSC."""
+    return np.flatnonzero(indices == np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)))
+
+
+def _factor(mat: sp.csc_matrix):
+    """Sparse LU under LU_OPTIONS; SolverError if singular."""
+    try:
+        return spla.splu(mat, **LU_OPTIONS)
+    except RuntimeError as exc:  # "Factor is exactly singular", e.g. on overflowed entries
+        raise SolverError(f"factorization failed: {exc}") from exc
 
 
 def factor_shifted(matrix: sp.csc_matrix, eps: float):
     """Sparse LU of matrix - i*eps under LU_OPTIONS; SolverError if singular."""
-    try:
-        return spla.splu(_shifted(matrix, eps), **LU_OPTIONS)
-    except RuntimeError as exc:  # "Factor is exactly singular", e.g. on overflowed entries
-        raise SolverError(f"factorization failed: {exc}") from exc
+    pattern, data = _Pattern.of(matrix)
+    return _factor(pattern.shifted(data, eps))
 
 
 def assemble(
@@ -269,15 +313,6 @@ def reflection_sectors(disc: BoxDiscretization, *fields) -> list:
     return sectors
 
 
-def _sector_matrix(stencil: sp.csc_matrix, shift: np.ndarray, h: float) -> sp.csc_matrix:
-    """h^2 stencil + diag(shift) as one in-place update of a copy: the same
-    sums as the sparse arithmetic, on the stencil's sorted CSC structure."""
-    mat = stencil.copy()
-    mat.data *= h * h
-    mat.setdiag(mat.diagonal() + shift)
-    return mat
-
-
 # ----------------------------------------------------------------------------
 # sweeps
 # ----------------------------------------------------------------------------
@@ -353,9 +388,10 @@ def sweep_h(
 
     eps_rule is a constant or a callable h -> eps.  One bare 5-point stencil
     is assembled per sweep and restricted once to each symmetry sector of
-    the box that V and every weight respect (reflection_sectors).  Per h a
-    sector matrix is h^2 stencil + (V - E)[rep], factored once with its
-    -i eps shift, and that LU goes to weighted_resolvent_norm for every mode.
+    the box that V and every weight respect (reflection_sectors), whose CSC
+    pattern and diagonal positions are kept.  Per h a task writes h^2
+    stencil + (V - E)[rep] - i eps into a fresh data array on that pattern,
+    factors it once, and that LU goes to weighted_resolvent_norm for every mode.
     A row's norm and residual are the largest over sectors, and iterations
     sums them under max_iter.  The box is validated once against the largest
     h (spacing a <= max(hs)/4); later rows reuse the grid, where the
@@ -399,20 +435,22 @@ def sweep_h(
     if V.mode != "field2d" or V.values.size != disc.size:
         raise ConstructionError("sweep needs a field2d potential with one value per box node")
     lap = assemble(np.zeros(disc.size), 0.0, 1.0, disc, check_resolution=False).matrix.tocsr()
-    sectors = []  # (stencil, (V - E)[rep], {mode: scaled weights}); S itself is not kept
+    sectors = []  # ((pattern, stencil data), (V - E)[rep], {mode: scaled weights}); not S
     for S, rep in reflection_sectors(disc, V.values, *weights.values()):
         # on the orthonormal basis S/k, A is W k (P[rep] S - i eps)^-1 W / k:
         # the irrational k rounds in the weights, not in the nearly singular P
         k = np.sqrt(np.diff(S.indptr))
-        sectors.append(((lap[rep] @ S).tocsc(), V.values[rep] - E,
+        sectors.append((_Pattern.of(lap[rep] @ S), V.values[rep] - E,
                         {mode: (w[rep] * k, w[rep] / k) for mode, w in weights.items()}))
 
     def sector_norms(task):  # one task: the estimates leave it, the LU does not
-        h, (stencil, shift, scaled) = task
+        h, ((pattern, stencil), shift, scaled) = task
         eps = float(eps_rule(h)) if callable(eps_rule) else float(eps_rule)
         if not (eps > 0.0):
             raise SolverError(f"eps rule produced nonpositive eps = {eps} at h = {h}")
-        lu = factor_shifted(_sector_matrix(stencil, shift, h), eps)
+        data = stencil * (h * h)
+        data[pattern.diag] += shift
+        lu = _factor(pattern.shifted(data, eps))
         return eps, {mode: weighted_resolvent_norm(lu, w_left, w_right, tol, max_iter, seed)
                      for mode, (w_left, w_right) in scaled.items()}
 

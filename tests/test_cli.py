@@ -723,6 +723,28 @@ def test_readme_library_names_listed_and_importable():
     assert "sweep_h" in names and "BoxDiscretization" in names
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_fit_targets_need_enough_rows(tmp_path, capsys, rows):
+    # one row passed the exp target with R2 = 1 (lstsq's minimum-norm
+    # solution, ss_tot = 0) and two rows give R2 = 1 by construction: the
+    # interior target needs 3 rows, the exterior h*norm ratio 2
+    baseline = Path(__file__).resolve().parents[1] / "configs" / "baseline.json"
+    payload = json.loads(baseline.read_text())
+    payload["resolvent"]["hs"] = payload["resolvent"]["hs"][:rows]
+    cfg, out = write_cfg(tmp_path, payload), tmp_path / "out"
+    assert run(["sweep", "--config", cfg, "--out", out, "--assert-fits"]) == (3 if rows < 3 else 0)
+    printed = capsys.readouterr()
+    missed = {mode: f"sweep[{mode}]: the {mode} target needs >= {needed} rows, got {rows}  "
+                    "(target missed)" for mode, needed in (("interior", 3), ("exterior", 2))}
+    assert (missed["interior"] in printed.out) == (rows < 3)
+    assert (missed["exterior"] in printed.out) == (rows < 2)
+    assert ("fit targets failed" in printed.err) == (rows < 3)
+    # the fits files hold the fit of whatever rows there are
+    fits = json.loads((out / "fits_interior.json").read_text())
+    assert set(fits) >= {"exp", "poly"}
+    assert run(["sweep", "--config", cfg, "--out", out]) == 0  # fits are data unless asserted
+
+
 def test_assert_fits_flag(tmp_path):
     # zero potential, interior: the poly-slope window is the target; at these
     # two h values with smoothing eps the check may pass or fail, but the flag

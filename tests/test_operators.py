@@ -98,6 +98,21 @@ def test_factor_shifted_matches_dense_solve(box12, rng):
     assert np.linalg.norm(z - dense) / np.linalg.norm(dense) <= 1e-10
 
 
+def test_shift_reaches_an_unstored_diagonal(box12, rng):
+    # at E = 4 h^2 / a^2 the zero potential's diagonal cancels to 0 and the
+    # sparse sum does not store it: the shift must still put -i eps there
+    E = assemble(np.zeros(box12.size), 0.0, 0.3, box12, check_resolution=False).matrix[0, 0]
+    op = assemble(np.zeros(box12.size), E, 0.3, box12, check_resolution=False)
+    assert op.matrix.diagonal().tolist() == [0.0] * box12.size
+    assert op.matrix.nnz == 4 * box12.n * (box12.n - 1)
+    shifted = op.shifted(0.1).toarray()
+    np.testing.assert_array_equal(shifted, op.matrix.toarray() - 0.1j * np.eye(box12.size))
+    rhs = rng.standard_normal(box12.size) + 1j * rng.standard_normal(box12.size)
+    dense = np.linalg.solve(shifted, rhs)
+    z = factor_shifted(op.matrix, 0.1).solve(rhs)
+    assert np.linalg.norm(z - dense) / np.linalg.norm(dense) <= 1e-10
+
+
 @pytest.mark.parametrize("E,h", [(1.0, 0.4), (8.0, 0.12)])
 def test_factor_ordering_cuts_fill(E, h):
     # the symmetric minimum-degree ordering suits the 5-point grid: at n = 64

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from carlab import (
@@ -47,15 +48,29 @@ def test_rows_follow_descending_hs(sweep_box, zero_field):
     assert all(r.mode == "interior" and r.R is None for r in result.rows)
 
 
+def _recording_splu(monkeypatch) -> list:
+    """The matrices every later spla.splu call factors, in call order."""
+    factored, splu = [], spla.splu
+
+    def recording_splu(mat, **kwargs):
+        factored.append(mat)
+        return splu(mat, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    return factored
+
+
 @pytest.mark.parametrize("h", [-0.4, 0.0, float("nan")])
 def test_nonpositive_hs_rejected(sweep_box, zero_field, monkeypatch, h):
     # -0.4 used to give the h = 0.4 norm again, 0 a norm that broke the
-    # poly fit, and nan ran into a singular LU
-    factored = []
-    monkeypatch.setattr(resolvent, "factor_shifted", lambda *args: factored.append(args))
+    # poly fit, and nan ran into a singular LU; the valid sweep shows that
+    # the patch sees the sweep's factorizations, one per sector
+    factored = _recording_splu(monkeypatch)
+    _interior(zero_field, 1.0, 0.6, [0.4], eps_rule=1e-2, disc=sweep_box)
+    assert len(factored) == 5
     with pytest.raises(ValueError, match="hs must be positive"):
         _interior(zero_field, 1.0, 0.6, [0.4, h], eps_rule=1e-2, disc=sweep_box)
-    assert not factored
+    assert len(factored) == 5
 
 
 def test_ascending_hs_rejected(sweep_box, zero_field):
@@ -218,7 +233,7 @@ def test_baseline_sweep_stops_once_converged(monkeypatch):
     # (a sector application weighs its size over the box size)
     rcfg, args = _baseline_sweep()
     disc = args["disc"]
-    work = []
+    work = []  # one entry per sector norm: 5 hs, 5 sectors and 2 modes
     norm = resolvent.weighted_resolvent_norm
 
     def counting_norm(lu, *args, **kwargs):
@@ -232,7 +247,46 @@ def test_baseline_sweep_stops_once_converged(monkeypatch):
     assert len(rows) == 10
     assert all(row.residual <= rcfg["tol"] for row in rows)
     assert all(row.iterations <= rcfg["max_iter"] for row in rows)
+    assert len(work) == 50
     assert sum(work) <= 176
+
+
+def test_sector_matrices_match_sparse_arithmetic(sweep_box, monkeypatch):
+    # each task writes h^2 stencil + (V - E)[rep] - i eps into its sector's
+    # fixed CSC pattern: the same entries, to the last bit, as the sparse
+    # arithmetic on every sector of a ring box at every h
+    V = catalog_potential("trapping_ring", 0.4, sweep_box, E=1.0, A=2.0, rho=0.6, sigma=0.2)
+    hs, E = [0.4, 0.3, 0.22, 0.17], 1.0
+    factored = _recording_splu(monkeypatch)
+    sweep_h(V, E, 0.6, hs, eps_rule=lambda h: h / 4.0, modes=["interior", "exterior"], R=0.9,
+            disc=sweep_box)
+    lap = assemble(np.zeros(sweep_box.size), 0.0, 1.0, sweep_box, check_resolution=False).matrix
+    lap = lap.tocsr()
+    sectors = reflection_sectors(sweep_box, V.values, weight_diag(sweep_box, 0.6),
+                                 weight_diag(sweep_box, 0.6, 0.9))
+    assert len(factored) == len(hs) * len(sectors) == 20
+    for built, (h, (S, rep)) in zip(factored, itertools.product(hs, sectors)):
+        stencil = lap[rep] @ S
+        eye = sp.identity(len(rep), format="csc")
+        expected = (h * h * stencil + sp.diags(V.values[rep] - E) - 1j * (h / 4.0) * eye).tocsc()
+        assert built.dtype == expected.dtype == complex
+        for attr in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(built, attr), getattr(expected, attr))
+
+
+def test_lu_options_keep_the_fill(monkeypatch):
+    # relax=1 and panel_size=1 drop the padding of relaxed supernodes and
+    # panels, not a factor entry: on every ring64 sector L and U keep their
+    # nonzeros and the stored factors are no larger than under SuperLU's
+    # default relaxation
+    splu, factored = spla.splu, _recording_splu(monkeypatch)
+    sweep_h(**_baseline_sweep()[1])
+    assert len(factored) == 25
+    relaxed = {k: v for k, v in resolvent.LU_OPTIONS.items() if k not in ("relax", "panel_size")}
+    for mat in factored:
+        lu, padded = splu(mat, **resolvent.LU_OPTIONS), splu(mat, **relaxed)
+        assert lu.L.nnz + lu.U.nnz == padded.L.nnz + padded.U.nnz
+        assert lu.nnz <= padded.nnz
 
 
 # ----------------------------------------------------------------------------
