@@ -18,16 +18,8 @@ from .errors import (
 )
 from .potentials import PotentialSample, catalog_potential, catalog_radial
 from .verify import (
-    CombinedResult,
-    EffectivePotentialTable,
     GluingConstants,
     MarginReport,
-    QuadFormResult,
-    bump,
-    bump_ensemble,
-    carleman_quadratic_form_test,
-    combined_estimate_test,
-    effective_potential,
     gluing_constants,
     shift_radius_bound,
     verify_barrier_facts,

@@ -17,8 +17,8 @@ class BoxDiscretization:
     """Square [-L, L]^2 with n nodes per axis, spacing a = 2L/(n-1).
 
     The axis is odd bit for bit with ends at +-L, and odd n places a node
-    exactly at the origin, which the shift and quadratic-form fixtures rely
-    on; sweeps accept any n >= 4.
+    exactly at the origin, which the shift fixtures and the test suite's
+    bump oracles rely on; sweeps accept any n >= 4.
     """
 
     L: float
@@ -49,9 +49,6 @@ class BoxDiscretization:
     def radii(self) -> np.ndarray:
         X, Y = self.mesh()
         return np.hypot(X, Y).ravel()
-
-    def cell_area(self) -> float:
-        return self.a * self.a
 
 
 def weight_diag(disc: BoxDiscretization, s: float, R: float | None = None) -> np.ndarray:

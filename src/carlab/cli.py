@@ -308,7 +308,7 @@ def cmd_verify(cfg, out: Path) -> int:
 
 
 def _check_fit_target(pot_id, mode, result):
-    # a line fits one or two rows exactly (R2 = 1), so they certify no shape
+    # a line fits one or two rows exactly, so they certify no shape
     rows, needed = len(result.rows), 2 if mode == "exterior" else 3
     if rows < needed:
         return False, f"the {mode} target needs >= {needed} rows, got {rows}"

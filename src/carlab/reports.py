@@ -187,6 +187,7 @@ def write_sweep_csv(path, result):
 
 
 def fit_report_dict(result) -> dict:
+    """Both fits with the row count they rest on; r_squared is null below 3 rows."""
     out = {}
     for model in ("exp", "poly"):
         fit = result.fit(model)
@@ -194,7 +195,8 @@ def fit_report_dict(result) -> dict:
             "model": fit.model,
             "slope": float(fit.slope),
             "intercept": float(fit.intercept),
-            "r_squared": float(fit.r_squared),
+            "r_squared": fit.r_squared,
+            "rows": len(result.rows),
         }
     return out
 

@@ -632,10 +632,6 @@ class WeightTables:
     wprime_jump: float
 
     @property
-    def max_phi(self) -> float:
-        return self.C0 / 2.0
-
-    @property
     def r(self) -> np.ndarray:
         return self.grid.nodes
 
@@ -676,15 +672,3 @@ def build_weight_tables(
         riccati_resid=resid,
         wprime_jump=wprime_jump(spec),
     )
-
-
-def phi_at(wt: WeightTables, r):
-    """phi(|x|) for arbitrary radii: linear interpolation of the table,
-    exactly max phi beyond R1 (phi is constant there)."""
-    r = np.asarray(r, dtype=float)
-    out = np.interp(r, wt.grid.nodes, wt.phi, left=0.0, right=wt.max_phi)
-    # below r_min the integral of u from 0 is linear to first order in u0
-    small = r < wt.grid.nodes[0]
-    if np.any(small):
-        out = np.where(small, 0.5 * (wt.u0 + np.interp(r, wt.grid.nodes, wt.u)) * r, out)
-    return float(out) if out.ndim == 0 else out

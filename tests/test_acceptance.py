@@ -22,14 +22,10 @@ from carlab import (
     PsiSearch,
     PsiSpec,
     assemble,
-    bump_ensemble,
     build_weight_tables,
-    carleman_quadratic_form_test,
     catalog_potential,
     catalog_radial,
-    combined_estimate_test,
     dense_resolvent_norm,
-    effective_potential,
     factor_shifted,
     find_psi_constants,
     gluing_constants,
@@ -48,6 +44,12 @@ from carlab.kernels import riccati_backward
 from carlab.weights import continuity_residuals, margin_scan_nodes, psi_inequality_margin
 
 from conftest import COMBOS, combo_params
+from estimates import (
+    bump_ensemble,
+    carleman_quadratic_form_test,
+    combined_estimate_test,
+    effective_potential,
+)
 
 
 def criterion(num, ok, text):

@@ -28,6 +28,9 @@ CERTIFIED = {
     },
 }
 
+# R2 of configs/baseline.json's interior fits over its five rows
+BASELINE_EXP_R2, BASELINE_POLY_R2 = 0.9667463139767558, 0.9492693299072666
+
 BASELINE_SWEEP = {
     "resolvent": {
         "box": {"half_width": 1.5, "n": 48},
@@ -704,6 +707,25 @@ def test_construction_commands_load_no_scipy(tmp_path):
     assert run_main("--help-config") == [0, []]
 
 
+TEST_ORACLES = ("effective_potential", "EffectivePotentialTable", "carleman_quadratic_form_test",
+                "combined_estimate_test", "_form_arrays", "_implied_c", "QuadFormResult",
+                "CombinedResult", "bump", "bump_ensemble", "BOUNDARY_MARGIN_CELLS", "phi_at")
+
+
+def test_verifiers_do_not_reach_the_resolvent():
+    # the estimators that took an assembled operator live in tests/estimates.py;
+    # verify.py names nothing of the module that loads scipy
+    from carlab import box, resolvent, verify, weights
+
+    source = Path(verify.__file__).read_text()
+    assert "resolvent" not in source and "DiscreteOperator" not in source
+    for module in (carlab, verify, weights):
+        assert sorted(set(TEST_ORACLES) & set(dir(module))) == [], module.__name__
+    assert not hasattr(weights.WeightTables, "max_phi")
+    assert not hasattr(resolvent.DiscreteOperator, "apply_shifted")
+    assert not hasattr(box.BoxDiscretization, "cell_area")
+
+
 def test_sweep_loads_scipy_when_it_runs(tmp_path):
     cfg = write_cfg(tmp_path, BASELINE_SWEEP)
     code, loaded = run_main("sweep", "--config", cfg, "--out", tmp_path / "out")
@@ -723,7 +745,7 @@ def test_readme_library_names_listed_and_importable():
     assert "sweep_h" in names and "BoxDiscretization" in names
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
 def test_fit_targets_need_enough_rows(tmp_path, capsys, rows):
     # one row passed the exp target with R2 = 1 (lstsq's minimum-norm
     # solution, ss_tot = 0) and two rows give R2 = 1 by construction: the
@@ -739,9 +761,18 @@ def test_fit_targets_need_enough_rows(tmp_path, capsys, rows):
     assert (missed["interior"] in printed.out) == (rows < 3)
     assert (missed["exterior"] in printed.out) == (rows < 2)
     assert ("fit targets failed" in printed.err) == (rows < 3)
-    # the fits files hold the fit of whatever rows there are
+    # the fits files hold the fit of whatever rows there are, and their count;
+    # below 3 rows they hold no R2
     fits = json.loads((out / "fits_interior.json").read_text())
     assert set(fits) >= {"exp", "poly"}
+    for mode in ("interior", "exterior"):
+        fits = json.loads((out / f"fits_{mode}.json").read_text())
+        assert [fits[m]["rows"] for m in ("exp", "poly")] == [rows, rows]
+        assert (fits["exp"]["r_squared"] is None) == (fits["poly"]["r_squared"] is None) == (rows < 3)
+    if rows == 5:  # all of baseline's rows: the R2 values the fits have always had
+        fits = json.loads((out / "fits_interior.json").read_text())
+        assert fits["exp"]["r_squared"] == pytest.approx(BASELINE_EXP_R2, rel=1e-12)
+        assert fits["poly"]["r_squared"] == pytest.approx(BASELINE_POLY_R2, rel=1e-12)
     assert run(["sweep", "--config", cfg, "--out", out]) == 0  # fits are data unless asserted
 
 

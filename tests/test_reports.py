@@ -274,4 +274,5 @@ def test_sweep_csv_and_plot_data(tmp_path):
 
     fits = fit_report_dict(result)
     assert set(fits) == {"exp", "poly"}
-    assert set(fits["poly"]) == {"model", "slope", "intercept", "r_squared"}
+    assert set(fits["poly"]) == {"model", "slope", "intercept", "r_squared", "rows"}
+    assert fits["poly"]["rows"] == 2 and fits["poly"]["r_squared"] is None  # two rows fit any line

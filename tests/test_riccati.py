@@ -91,7 +91,7 @@ def test_phi_normalization(baseline_tables):
     # phi is exactly constant beyond R1
     tail = wt.phi[wt.grid.i_r1:]
     assert np.all(tail == tail[0])
-    assert wt.phi[-1] == pytest.approx(wt.max_phi, rel=1e-15)
+    assert wt.phi[-1] == pytest.approx(wt.C0 / 2.0, rel=1e-15)
 
 
 def test_phi_monotone(baseline_tables):

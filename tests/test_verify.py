@@ -7,12 +7,8 @@ from carlab import (
     GridMismatchError,
     assemble,
     build_weight_tables,
-    bump,
-    carleman_quadratic_form_test,
     catalog_potential,
     catalog_radial,
-    combined_estimate_test,
-    effective_potential,
     gluing_constants,
     shift_radius_bound,
     verify_E4_inequality,
@@ -28,6 +24,13 @@ from carlab.weights import (
     eval_psi,
     eval_psi_prime,
     margin_scan_nodes,
+)
+
+from estimates import (
+    bump,
+    carleman_quadratic_form_test,
+    combined_estimate_test,
+    effective_potential,
 )
 
 # regression locks for the baseline construction (deterministic pipeline)
